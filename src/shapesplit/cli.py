@@ -13,6 +13,7 @@ import os
 import sys
 
 from . import io as formats
+from .centerline import DEFAULT_EXPONENT
 from .estimators import CenterlineExtractor, EqualAreaSubdivider
 from .exceptions import AlgorithmError, PGMParseError, ValidationError
 
@@ -42,7 +43,8 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--k", type=int, required=True, help="number of regions (>= 1)")
     p.add_argument("--output", required=True, help="output label map (PGM)")
     p.add_argument("--dump", metavar="DIR", help="directory for intermediate artifacts")
-    p.add_argument("--exponent", type=float, default=6.0, help="depth weighting exponent (default 6)")
+    p.add_argument("--exponent", type=float, default=DEFAULT_EXPONENT,
+                   help="depth weighting exponent (default %(default)g)")
     p.add_argument("--no-balance", action="store_true", help="skip the equal-area balancing pass")
     p.set_defaults(func=_cmd_subdivide)
 

@@ -1,10 +1,12 @@
-"""Grid primitives: neighborhoods and connected-component labeling.
+"""Grid primitives: neighborhoods, flood fill and connected-component labeling.
 
 Coordinates are ``(x, y)`` pairs on a ``width x height`` grid; arrays are
 indexed ``[y, x]``. Everything outside the grid counts as background.
 """
 
 from __future__ import annotations
+
+from collections import deque
 
 import numpy as np
 
@@ -31,6 +33,37 @@ def neighbors(coord, dims, connectivity: int = 4) -> list[tuple[int, int]]:
         for dx, dy in steps
         if 0 <= x + dx < width and 0 <= y + dy < height
     ]
+
+
+def flood(region: np.ndarray, start, steps) -> np.ndarray:
+    """Voxels of the boolean array ``region`` reachable from ``start = (x, y)``.
+
+    Breadth-first fill moving by the offsets in ``steps``, such as
+    ``NEIGHBOR_STEPS_4`` or ``NEIGHBOR_STEPS_8``. Returns a boolean mask,
+    empty when ``start`` is not in ``region``. Arguments are not validated,
+    since callers run it in inner loops.
+    """
+    h, w = region.shape
+    x, y = start
+    out = np.zeros((h, w), dtype=bool)
+    if not region[y, x]:
+        return out
+    out[y, x] = True
+    queue = deque([(x, y)])
+    while queue:
+        cx, cy = queue.popleft()
+        for dx, dy in steps:
+            px, py = cx + dx, cy + dy
+            if 0 <= px < w and 0 <= py < h and region[py, px] and not out[py, px]:
+                out[py, px] = True
+                queue.append((px, py))
+    return out
+
+
+def is_connected(region: np.ndarray, steps=NEIGHBOR_STEPS_4) -> bool:
+    """True when ``region`` is nonempty and one piece under ``steps``."""
+    ys, xs = np.nonzero(region)
+    return xs.size > 0 and int(flood(region, (int(xs[0]), int(ys[0])), steps).sum()) == xs.size
 
 
 def connected_components(mask, connectivity: int = 4) -> tuple[np.ndarray, int]:

@@ -14,7 +14,6 @@ sufficient.
 
 from __future__ import annotations
 
-from collections import deque
 from typing import NamedTuple
 
 import numpy as np
@@ -22,7 +21,7 @@ import numpy as np
 from .centerline import DEFAULT_EXPONENT, _extract_full
 from .eikonal import ArrivalField
 from .exceptions import BalanceError, CutError, ValidationError
-from .grid import connected_components
+from .grid import NEIGHBOR_STEPS_4, NEIGHBOR_STEPS_8, connected_components, flood, is_connected
 from .validation import (
     check_coord,
     check_labelmap,
@@ -31,8 +30,6 @@ from .validation import (
     check_positive_int,
     check_scalar_field,
 )
-
-_STEPS_4 = ((0, -1), (0, 1), (-1, 0), (1, 0))
 
 
 class Cut(NamedTuple):
@@ -100,19 +97,7 @@ def _band_mask(region: np.ndarray, anchor, normal) -> np.ndarray:
     ys = np.arange(h, dtype=np.float64) - ay
     dot = nx * xs[None, :] + ny * ys[:, None]
     line = region & (2.0 * np.abs(dot) <= max(abs(nx), abs(ny)))
-
-    out = np.zeros_like(line)
-    out[ay, ax] = True
-    queue = deque([(ax, ay)])
-    while queue:
-        cx, cy = queue.popleft()
-        for dx in (-1, 0, 1):
-            for dy in (-1, 0, 1):
-                px, py = cx + dx, cy + dy
-                if 0 <= px < w and 0 <= py < h and line[py, px] and not out[py, px]:
-                    out[py, px] = True
-                    queue.append((px, py))
-    return out
+    return flood(line, (ax, ay), NEIGHBOR_STEPS_8)
 
 
 def cut_band(mask, anchor, normal) -> set[tuple[int, int]]:
@@ -205,7 +190,7 @@ def subdivide(mask, path, plan: list[Cut]) -> np.ndarray:
             # yields a 4-connected region once the band joins the behind side;
             # a diagonal band's tail can otherwise hang off the far side.
             hit = {int(comps[py, px]) for px, py in pts if remaining[py, px]}
-            if len(hit) == ncomp and _is_connected(band | (comps == behind)):
+            if len(hit) == ncomp and is_connected(band | (comps == behind)):
                 chosen = candidate
                 break
         if chosen is None:
@@ -223,26 +208,6 @@ def subdivide(mask, path, plan: list[Cut]) -> np.ndarray:
     return labels
 
 
-def _is_connected(region: np.ndarray) -> bool:
-    ys, xs = np.nonzero(region)
-    if xs.size == 0:
-        return False
-    h, w = region.shape
-    seen = np.zeros_like(region)
-    seen[ys[0], xs[0]] = True
-    queue = deque([(int(xs[0]), int(ys[0]))])
-    reached = 1
-    while queue:
-        cx, cy = queue.popleft()
-        for dx, dy in _STEPS_4:
-            px, py = cx + dx, cy + dy
-            if 0 <= px < w and 0 <= py < h and region[py, px] and not seen[py, px]:
-                seen[py, px] = True
-                reached += 1
-                queue.append((px, py))
-    return reached == xs.size
-
-
 def _stays_connected_without(region: np.ndarray, x: int, y: int) -> bool:
     """Would removing voxel (x, y) keep the region 4-connected and nonempty?
 
@@ -252,7 +217,7 @@ def _stays_connected_without(region: np.ndarray, x: int, y: int) -> bool:
     h, w = region.shape
     nbs = [
         (x + dx, y + dy)
-        for dx, dy in _STEPS_4
+        for dx, dy in NEIGHBOR_STEPS_4
         if 0 <= x + dx < w and 0 <= y + dy < h and region[y + dy, x + dx]
     ]
     if not nbs:
@@ -264,7 +229,7 @@ def _stays_connected_without(region: np.ndarray, x: int, y: int) -> bool:
     stack = [nbs[0]]
     while stack and targets:
         cx, cy = stack.pop()
-        for dx, dy in _STEPS_4:
+        for dx, dy in NEIGHBOR_STEPS_4:
             px, py = cx + dx, cy + dy
             if 0 <= px < w and 0 <= py < h and region[py, px] and (px, py) not in visited:
                 visited.add((px, py))
@@ -273,14 +238,19 @@ def _stays_connected_without(region: np.ndarray, x: int, y: int) -> bool:
     return not targets
 
 
-def _adjacent_labels(labels: np.ndarray, lab: int) -> list[int]:
-    region = labels == lab
+def _near4(region: np.ndarray) -> np.ndarray:
+    """Voxels that have a 4-neighbor in ``region``."""
     near = np.zeros_like(region)
     near[:, :-1] |= region[:, 1:]
     near[:, 1:] |= region[:, :-1]
     near[:-1, :] |= region[1:, :]
     near[1:, :] |= region[:-1, :]
-    vals = np.unique(labels[near & (labels > 0) & ~region])
+    return near
+
+
+def _adjacent_labels(labels: np.ndarray, lab: int) -> list[int]:
+    region = labels == lab
+    vals = np.unique(labels[_near4(region) & (labels > 0) & ~region])
     return [int(v) for v in vals]
 
 
@@ -299,30 +269,8 @@ def _label_adjacency(labels: np.ndarray, k: int) -> dict[int, list[int]]:
 
 def _border_candidates(labels: np.ndarray, donor: int, receiver: int) -> list[tuple[int, int]]:
     """Donor voxels 4-adjacent to the receiver, in row-major order as (y, x)."""
-    recv = labels == receiver
-    near = np.zeros_like(recv)
-    near[:, :-1] |= recv[:, 1:]
-    near[:, 1:] |= recv[:, :-1]
-    near[:-1, :] |= recv[1:, :]
-    near[1:, :] |= recv[:-1, :]
+    near = _near4(labels == receiver)
     return [(int(y), int(x)) for y, x in np.argwhere((labels == donor) & near)]
-
-
-def _pick_transfer_voxel(labels, donor, receiver, arrival):
-    """Best donor border voxel to hand to the receiver, or None.
-
-    Candidates are ranked by largest arrival value, row-major on ties, and
-    the first one whose removal keeps the donor 4-connected wins.
-    """
-    cand = _border_candidates(labels, donor, receiver)
-    if not cand:
-        return None
-    cand.sort(key=lambda yx: -arrival[yx])  # stable: ties stay row-major
-    donor_region = labels == donor
-    for y, x in cand:
-        if _stays_connected_without(donor_region, x, y):
-            return y, x
-    return None
 
 
 def _strip_move(lab, areas, give: int, take: int, limit: int, arrival) -> int:
@@ -331,9 +279,8 @@ def _strip_move(lab, areas, give: int, take: int, limit: int, arrival) -> int:
     Works off one snapshot of the border, deepest voxels first (smallest
     arrival value, row-major on ties): repeated transfers across the same
     border then dent its middle instead of marching along the region's
-    boundary rim, which keeps the coarse moves shape preserving. Every
-    move keeps the donor 4-connected and nonempty. Returns the number of
-    voxels moved.
+    boundary rim, which keeps the moves shape preserving. Every move keeps
+    the donor 4-connected and nonempty. Returns the number of voxels moved.
     """
     if limit <= 0:
         return 0
@@ -353,24 +300,19 @@ def _strip_move(lab, areas, give: int, take: int, limit: int, arrival) -> int:
     return moved
 
 
-def _strip_capacity(lab, give: int, take: int) -> int:
-    """1 when ``give`` has a border voxel it can hand to ``take``, else 0."""
-    donor_region = lab == give
-    if int(donor_region.sum()) <= 1:
-        return 0
-    for y, x in _border_candidates(lab, give, take):
-        if _stays_connected_without(donor_region, x, y):
-            return 1
-    return 0
+def _can_give(lab, give: int, take: int) -> bool:
+    """Whether ``give`` can hand ``take`` a border voxel and stay 4-connected."""
+    region = lab == give
+    return any(_stays_connected_without(region, x, y) for y, x in _border_candidates(lab, give, take))
 
 
-def _route_to_deficit(lab, areas, goals, k: int, dest: int, can_give) -> list[int] | None:
+def _route_to_deficit(lab, areas, goals, k: int, dest: int) -> list[int] | None:
     """Shortest chain from the nearest surplus region to ``dest``.
 
     Breadth-first search from the deficit over the region adjacency graph,
     walking only edges whose upstream side can actually give up a border
-    voxel (``can_give(nb, cur)``). Returns labels ordered donor..dest, or
-    None when no surplus is reachable.
+    voxel. Returns labels ordered donor..dest, or None when no surplus is
+    reachable.
     """
     adjacency = _label_adjacency(lab, k)
     parent: dict[int, int | None] = {dest: None}
@@ -381,9 +323,7 @@ def _route_to_deficit(lab, areas, goals, k: int, dest: int, can_give) -> list[in
         cur = order[qi]
         qi += 1
         for nb in adjacency[cur]:
-            if nb in parent:
-                continue
-            if not can_give(nb, cur):
+            if nb in parent or not _can_give(lab, nb, cur):
                 continue
             parent[nb] = cur
             order.append(nb)
@@ -405,32 +345,29 @@ def _area_report(areas: np.ndarray, k: int) -> str:
 def balance_areas(labels, k: int, arrival) -> np.ndarray:
     """Equalize region areas by border exchanges, then trim the remainder.
 
-    With total labeled area A and target T = floor(A / k), the phases in
+    With total labeled area A and target T = floor(A / k), the steps in
     order:
 
-    1. Coarse: connectivity-preserving border strips flow from large
-       regions into smaller neighbors (largest first, pair-equalizing),
-       then remaining surplus is routed as strips along the region graph
-       until regions 1..k-1 hold T voxels and region k holds T plus the
-       remainder. Strips keep borders compact, so regions change width
-       but keep their shape.
-    2. Fine: any residue moves as single-voxel border exchanges, each
-       voxel chosen by largest arrival value (row-major on ties) among
-       border voxels whose removal keeps the donor 4-connected.
+    1. Pair equalizing: connectivity-preserving border strips flow from
+       large regions into their smallest neighbors, largest first, each
+       capped at half the area gap.
+    2. Routed strip flow: the remaining surplus is routed as strips along
+       the region graph until regions 1..k-1 hold T voxels and region k
+       holds T plus the remainder. Strips keep borders compact, so regions
+       change width but keep their shape.
     3. Trim: relabel the A mod k surplus voxels of region k to background,
        taking the largest arrival values first, never breaking the region.
 
     Every region ends 4-connected with exactly T voxels. Raises
-    BalanceError when the fine-phase budget (100 k single-voxel moves)
-    runs out or no transfer route exists.
+    BalanceError when no transfer route exists or the routed flow's
+    budget (200 k voxel moves) runs out.
     """
     k = check_positive_int(k, "k")
     lab = check_labelmap(labels).copy()
-    h, w = lab.shape
     if isinstance(arrival, ArrivalField):
         arr = arrival.values
     else:
-        arr = check_scalar_field(arrival, shape=(h, w))
+        arr = check_scalar_field(arrival, shape=lab.shape)
 
     present = set(np.unique(lab).tolist())
     if not present <= set(range(k + 1)) or not set(range(1, k + 1)) <= present:
@@ -438,7 +375,7 @@ def balance_areas(labels, k: int, arrival) -> np.ndarray:
     if not np.isfinite(arr[lab > 0]).all():
         raise ValidationError("arrival values must be finite on all labeled voxels")
     for j in range(1, k + 1):
-        if not _is_connected(lab == j):
+        if not is_connected(lab == j):
             raise BalanceError(f"balance failed: region {j} is not 4-connected")
 
     areas = np.bincount(lab.ravel(), minlength=k + 1).astype(np.int64)
@@ -450,12 +387,11 @@ def balance_areas(labels, k: int, arrival) -> np.ndarray:
     goals[0] = 0
     goals[k] = target + leftover  # remainder parks on region k for the trim
 
-    # Phase 1a: border-strip transfers from large regions to their smallest
-    # neighbors. Each pass visits every region in descending area order and
-    # lets it push a strip capped at the pair-equalizing quota (half the
-    # area gap); moving a whole strip regardless of the gap would make the
-    # largest pair trade the same strip back and forth without converging.
-    # The phase ends when a full pass moves nothing.
+    # Pair equalizing: each pass visits every region in descending area
+    # order and lets it push a strip to its smallest neighbor, capped at the
+    # pair-equalizing quota (half the area gap); moving a whole strip
+    # regardless of the gap would make the largest pair trade the same
+    # strip back and forth without converging. Ends when a pass moves nothing.
     for _ in range(10 * k):
         acted = False
         for donor in sorted(range(1, k + 1), key=lambda l: (-areas[l], l)):
@@ -469,82 +405,49 @@ def balance_areas(labels, k: int, arrival) -> np.ndarray:
         if not acted:
             break
 
-    # Phase 1b: pair averaging stalls once neighbor areas are within one
-    # voxel, which can still leave a long drift across a chain of regions.
-    # Route the remaining surplus to each deficit region along the region
-    # graph, still as deepest-first strips: pushing this bulk one
-    # largest-arrival voxel at a time would peel whole boundary rims off
-    # the pass-through regions and destroy their shape.
-    coarse_budget = 100 * k
-    coarse_steps = 0
-    while coarse_steps < coarse_budget:
-        deficits = [j for j in range(1, k + 1) if areas[j] < goals[j]]
-        if not deficits:
-            break
-        dest = deficits[0]
-        chain = _route_to_deficit(
-            lab, areas, goals, k, dest,
-            can_give=lambda nb, cur: _strip_capacity(lab, nb, cur) > 0,
-        )
-        if chain is None:
-            break  # leave the residue to the fine phase
-        flow = min(int(areas[chain[0]] - goals[chain[0]]), int(goals[dest] - areas[dest]))
-        for give, take in zip(chain, chain[1:]):
-            flow = _strip_move(lab, areas, give, take, min(flow, coarse_budget - coarse_steps), arr)
-            coarse_steps += flow
-            if flow == 0:
-                break
-
-    # Phase 2 (fine): single-voxel border exchanges toward any remaining
-    # deficit, the voxel chosen by largest arrival value (row-major on
-    # ties) among border voxels whose removal keeps the donor connected.
-    budget = 100 * k
-    steps = 0
+    # Routed strip flow: pair averaging stalls once neighbor areas are
+    # within one voxel, which can still leave a long drift across a chain
+    # of regions. Route the remaining surplus to each deficit region along
+    # the region graph, still as deepest-first strips: pushing this bulk one
+    # voxel at a time would peel whole boundary rims off the pass-through
+    # regions and destroy their shape.
+    budget = 200 * k
+    moved = 0
     while True:
         deficits = [j for j in range(1, k + 1) if areas[j] < goals[j]]
         if not deficits:
             break
         dest = deficits[0]
-        chain = _route_to_deficit(
-            lab, areas, goals, k, dest,
-            can_give=lambda nb, cur: _pick_transfer_voxel(lab, nb, cur, arr) is not None,
-        )
+        chain = _route_to_deficit(lab, areas, goals, k, dest) if moved < budget else None
         if chain is None:
             raise BalanceError(f"balance failed; region areas: {_area_report(areas, k)}")
+        flow = min(int(areas[chain[0]] - goals[chain[0]]), int(goals[dest] - areas[dest]))
         for give, take in zip(chain, chain[1:]):
-            if steps >= budget:
-                raise BalanceError(f"balance failed; region areas: {_area_report(areas, k)}")
-            voxel = _pick_transfer_voxel(lab, give, take, arr)
-            if voxel is None:
-                break  # an earlier move of this chain reshaped the border; replan
-            y, x = voxel
-            lab[y, x] = take
-            areas[give] -= 1
-            areas[take] += 1
-            steps += 1
+            flow = _strip_move(lab, areas, give, take, min(flow, budget - moved), arr)
+            moved += flow
+            if flow == 0:
+                break
 
-    # Phase 3: trim the remainder off region k, outermost (largest second
-    # wave arrival) voxels first.
+    # Trim the remainder off region k, outermost (largest second wave arrival)
+    # voxels first, rescanning one sorted list: a removal can free a voxel.
     if leftover:
         region = lab == k
+        cand = [(int(y), int(x)) for y, x in np.argwhere(region)]
+        cand.sort(key=lambda yx: -arr[yx])  # stable: ties stay row-major
         for _ in range(leftover):
-            cand = [(int(y), int(x)) for y, x in np.argwhere(region)]
-            cand.sort(key=lambda yx: -arr[yx])
-            removed = False
             for y, x in cand:
-                if _stays_connected_without(region, x, y):
+                if region[y, x] and _stays_connected_without(region, x, y):
                     lab[y, x] = 0
                     region[y, x] = False
-                    removed = True
                     break
-            if not removed:
+            else:
                 raise BalanceError(f"balance failed: cannot trim region {k} without disconnecting it")
 
     areas = np.bincount(lab.ravel(), minlength=k + 1).astype(np.int64)
     if not (areas[1 : k + 1] == target).all():
         raise BalanceError(f"balance failed; region areas: {_area_report(areas, k)}")
     for j in range(1, k + 1):
-        if not _is_connected(lab == j):
+        if not is_connected(lab == j):
             raise BalanceError(f"balance failed: region {j} is not 4-connected")
     return lab
 

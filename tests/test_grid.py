@@ -2,6 +2,7 @@ import numpy as np
 import pytest
 
 from shapesplit import ValidationError, connected_components, neighbors
+from shapesplit.grid import NEIGHBOR_STEPS_4, NEIGHBOR_STEPS_8, flood, is_connected
 
 from conftest import random_mask
 from oracles import flood_fill_components
@@ -65,6 +66,15 @@ class TestConnectedComponents:
         want, want_count = flood_fill_components(mask, connectivity)
         assert count == want_count
         assert np.array_equal(got, want)
+        # flood and is_connected, started from the first voxel of component 1
+        steps = NEIGHBOR_STEPS_4 if connectivity == 4 else NEIGHBOR_STEPS_8
+        ys, xs = np.nonzero(want == 1)
+        assert np.array_equal(flood(mask, (int(xs[0]), int(ys[0])), steps), want == 1)
+        assert is_connected(want == 1, steps)
+        assert is_connected(mask, steps) == (want_count == 1)
+        assert not is_connected(np.zeros_like(mask), steps)
+        by, bx = np.argwhere(~mask)[0]
+        assert not flood(mask, (int(bx), int(by)), steps).any()
 
     def test_row_major_first_encounter_order(self):
         mask = random_mask(11, size=32)

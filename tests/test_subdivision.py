@@ -266,6 +266,18 @@ class TestBalanceAreas:
             _, count = flood_fill_components(out == j, 4)
             assert count == 1
 
+    @pytest.mark.parametrize("seed, k", [(2, 2), (4, 5)])
+    def test_routed_flow_uses_most_of_its_budget(self, seed, k):
+        # after pair equalizing these shapes route 261 and 682 voxels, over
+        # half of the routed flow's budget of 200 k moves
+        mask = make_blob(seed, size=96)
+        labels = subdivide_equal(mask, k)
+        assert areas_of(labels, k) == [int(mask.sum()) // k] * k
+        assert (labels[~mask] == 0).all()
+        for j in range(1, k + 1):
+            _, count = flood_fill_components(labels == j, 4)
+            assert count == 1
+
     def test_trim_prefers_large_arrival(self):
         # region 2 must lose exactly one voxel, the one with max arrival
         labels = np.zeros((1, 9), dtype=np.int32)
