@@ -17,7 +17,7 @@ import numpy as np
 
 from .distance import euclidean_distance_map
 from .eikonal import ArrivalField, argmax_field, descend, fast_march
-from .exceptions import ValidationError
+from .exceptions import AlgorithmError, ValidationError
 from .grid import connected_components
 from .validation import check_exponent, check_mask
 
@@ -57,11 +57,22 @@ def _extract_full(mask, exponent: float = DEFAULT_EXPONENT) -> CenterlineResult:
     # the middle of the region.
     d_max = float(dist.max())
     potential = np.ones((h, w))
-    potential[m] = (d_max / dist[m]) ** exponent
+    with np.errstate(over="ignore"):
+        potential[m] = (d_max / dist[m]) ** exponent
+    if not np.isfinite(potential).all():
+        raise ValidationError(
+            f"exponent {exponent:g} is too large for this region: the second wave's "
+            f"potential ({d_max:g} / d) ** {exponent:g} overflows"
+        )
     second = fast_march(potential, m, end_a)
     end_b = argmax_field(second)
 
-    path = descend(second, end_b)
+    # The pipeline built this field itself, so a stall is its own failure
+    # (large exponents leave too little precision between arrival times).
+    try:
+        path = descend(second, end_b)
+    except ValidationError as err:
+        raise AlgorithmError(f"centerline descent failed at exponent {exponent:g}: {err}") from err
     return CenterlineResult(path=path, distance_map=dist, first_wave=first, second_wave=second)
 
 
@@ -76,8 +87,11 @@ def extract_centerline(mask, exponent: float = DEFAULT_EXPONENT):
     Raises
     ------
     ValidationError
-        If the mask is empty or its true voxels form more than one
-        4-connected component.
+        If the mask is empty, its true voxels form more than one
+        4-connected component, or the exponent overflows the potential.
+    AlgorithmError
+        If the descent stalls on the second wave's arrival times, as it
+        can at large exponents.
     """
     result = _extract_full(mask, exponent)
     return result.path, result.second_wave

@@ -1,9 +1,10 @@
 """Command line front end.
 
 Exit codes: 0 success, 1 usage or file errors, 2 input validation errors
-(empty or disconnected region, k too large), 3 algorithm failures (a cut or
-the area balancing could not succeed). On failure nothing is written to the
-output path.
+(empty or disconnected region, k too large, an exponent that overflows the
+potential), 3 algorithm failures (the centerline descent, a cut or the area
+balancing could not succeed). On failure nothing is written to the output
+path.
 """
 
 from __future__ import annotations

@@ -3,8 +3,13 @@
 Distances are measured voxel center to voxel center, and the background
 includes the virtual voxels just outside the grid, so every true voxel gets
 a distance of at least 1. The transform is exact: squared distances are
-computed in integer arithmetic by a two-pass separable lower-envelope
-method, one pass per axis.
+computed in integer arithmetic, one pass per axis. The vertical pass finds
+each voxel's row distance ``g`` to the nearest background in its column.
+The row pass then takes the definition itself,
+``min over p of (x - p)^2 + g[y, p]^2``, over a window of columns: the term
+``p = x`` already gives ``g[y, x]^2``, so a column can only do better when
+``|x - p| <= g[y, x]``, and a window as wide as the deepest ``g`` in the
+rows at hand misses no candidate.
 """
 
 from __future__ import annotations
@@ -13,7 +18,9 @@ import numpy as np
 
 from .validation import check_mask
 
-_INF = float("inf")
+# Rows per row-pass block: each block scans only as far as its own deepest
+# voxel needs, so shallow rows do not pay for the deep ones.
+_BLOCK = 32
 
 
 def euclidean_distance_map(mask) -> np.ndarray:
@@ -44,51 +51,19 @@ def _squared_distance_map(mask: np.ndarray) -> np.ndarray:
     for y in range(h - 2, -1, -1):
         np.minimum(g[y], g[y + 1] + 1, out=g[y])
 
-    g2 = g * g
-    out = np.empty((h, w), dtype=np.int64)
-    for y in range(h):
-        out[y] = _row_envelope(g2[y], w)
-    return out
-
-
-def _row_envelope(f: np.ndarray, w: int) -> np.ndarray:
-    """Lower envelope of the parabolas (x - p)^2 + f(p) along one row.
-
-    Sites sit at columns -1..w, where the two virtual off-grid columns
-    carry value 0. Evaluated at the real columns 0..w-1.
-    """
-    n = w + 2
-    fs = np.empty(n, dtype=np.int64)
-    fs[0] = 0
-    fs[1:-1] = f
-    fs[-1] = 0
-
-    v = np.empty(n, dtype=np.int64)  # site index of each envelope piece
-    z = np.empty(n + 1, dtype=np.float64)  # piece boundaries
-    k = 0
-    v[0] = 0
-    z[0] = -_INF
-    z[1] = _INF
-    for q in range(1, n):
-        qp = q - 1  # actual column of site q
-        while True:
-            vq = v[k]
-            vp = vq - 1
-            s = (fs[q] + qp * qp - (fs[vq] + vp * vp)) / (2.0 * (qp - vp))
-            if s <= z[k]:
-                k -= 1
-            else:
-                break
-        k += 1
-        v[k] = q
-        z[k] = s
-        z[k + 1] = _INF
-
-    out = np.empty(w, dtype=np.int64)
-    k = 0
-    for x in range(w):
-        while z[k + 1] < x:
-            k += 1
-        vp = v[k] - 1
-        out[x] = (x - vp) * (x - vp) + fs[v[k]]
-    return out
+    # Row pass, in place over g. Padding each block with r zero columns per
+    # side puts the off-grid background at columns -1 and w; the zero
+    # columns beyond those are farther from every voxel, so they never win.
+    # The off-grid columns are within w + 1 of every voxel, which caps r.
+    for y0 in range(0, h, _BLOCK):
+        blk = g[y0:y0 + _BLOCK]
+        r = min(int(blk.max()), w + 1)
+        padded = np.zeros((blk.shape[0], w + 2 * r), dtype=np.int64)
+        np.multiply(blk, blk, out=padded[:, r:r + w])
+        blk[...] = padded[:, r:r + w]
+        tmp = np.empty_like(blk)
+        for d in range(1, r + 1):
+            for lo in (r - d, r + d):
+                np.add(padded[:, lo:lo + w], d * d, out=tmp)
+                np.minimum(blk, tmp, out=blk)
+    return g

@@ -1,7 +1,7 @@
 import numpy as np
 import pytest
 
-from shapesplit import ValidationError, euclidean_distance_map, extract_centerline
+from shapesplit import AlgorithmError, ValidationError, euclidean_distance_map, extract_centerline
 
 from conftest import C_ANNULUS_NOTCH_DEG, annulus_radii, make_blob
 
@@ -76,6 +76,17 @@ def test_empty_mask_rejected():
 def test_invalid_exponent_rejected():
     with pytest.raises(ValidationError):
         extract_centerline(np.ones((1, 9), dtype=bool), exponent=float("inf"))
+
+
+def test_descent_stall_at_large_exponent_is_an_algorithm_error(c_annulus_mask):
+    # the arrival times lose the precision that descent needs
+    with pytest.raises(AlgorithmError, match="exponent 30"):
+        extract_centerline(c_annulus_mask, exponent=30)
+
+
+def test_overflowing_exponent_rejected(c_annulus_mask):
+    with pytest.raises(ValidationError, match="exponent 400"):
+        extract_centerline(c_annulus_mask, exponent=400)
 
 
 def test_exponent_zero_still_extracts():

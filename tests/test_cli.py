@@ -1,10 +1,12 @@
 import json
+import os
 import subprocess
 import sys
 
 import numpy as np
 import pytest
 
+import shapesplit
 from shapesplit import read_labelmap, write_labelmap, write_mask
 from shapesplit.cli import main
 
@@ -109,6 +111,18 @@ class TestSubdivideCommand:
         code = main(["subdivide", "--input", str(rect_pgm), "--k", "2", "--output", str(out), "--exponent", "2"])
         assert code == 0
 
+    @pytest.mark.parametrize("exponent, code, message", [
+        ("30", 3, "stuck at non-source local minimum"),
+        ("400", 2, "exponent 400 is too large"),
+    ])
+    def test_large_exponent_exit_codes(self, tmp_path, capsys, exponent, code, message):
+        src = put_mask(tmp_path, "c.pgm", make_c_annulus())
+        out = tmp_path / "o.pgm"
+        argv = ["subdivide", "--input", str(src), "--k", "16", "--output", str(out), "--exponent", exponent]
+        assert main(argv) == code
+        assert message in capsys.readouterr().err
+        assert not out.exists()
+
     def test_deterministic_reruns(self, tmp_path):
         src = put_mask(tmp_path, "c.pgm", make_c_annulus())
         payloads = []
@@ -187,9 +201,14 @@ class TestParsing:
     def test_module_entry_point(self, tmp_path):
         src = put_mask(tmp_path, "strip.pgm", np.ones((1, 9), dtype=bool))
         out = tmp_path / "o.csv"
+        # The child must import the same shapesplit as this process.
+        package_root = os.path.dirname(os.path.dirname(shapesplit.__file__))
+        env = dict(os.environ)
+        env["PYTHONPATH"] = os.pathsep.join(filter(None, [package_root, env.get("PYTHONPATH")]))
         proc = subprocess.run(
             [sys.executable, "-m", "shapesplit", "centerline", "--input", str(src), "--output", str(out)],
             capture_output=True,
+            env=env,
         )
         assert proc.returncode == 0
         assert out.exists()

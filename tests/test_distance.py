@@ -31,7 +31,26 @@ def test_matches_brute_force_exactly(seed):
     assert np.array_equal(got, want)
 
 
-@pytest.mark.parametrize("mask_fn", [lambda: make_blob(0), make_c_annulus])
+def _disk_and_line():
+    # spans row blocks that need different windows: a shallow one around
+    # the line, deep ones through the disk, and an empty one at the bottom
+    yy, xx = np.mgrid[0:100, 0:100]
+    mask = (yy - 60) ** 2 + (xx - 50) ** 2 <= 30 * 30
+    mask[10, 5:95] = True
+    return mask
+
+
+@pytest.mark.parametrize(
+    "mask_fn",
+    [
+        lambda: make_blob(0),
+        make_c_annulus,
+        pytest.param(lambda: np.ones((200, 3), dtype=bool), id="filled_200x3"),  # window capped by the width
+        pytest.param(lambda: np.ones((1, 300), dtype=bool), id="filled_1x300"),
+        pytest.param(lambda: np.ones((300, 1), dtype=bool), id="filled_300x1"),
+        _disk_and_line,
+    ],
+)
 def test_matches_brute_force_on_shapes(mask_fn):
     mask = mask_fn()
     assert np.array_equal(euclidean_distance_map(mask), brute_force_distance_map(mask))
