@@ -9,7 +9,6 @@ identity on bytes.
 from __future__ import annotations
 
 import json
-import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -78,9 +77,11 @@ def _parse_pgm(data: bytes) -> tuple[int, int, int, np.ndarray]:
     count = width * height
 
     if magic == b"P2":
-        samples = np.empty(count, dtype=np.int32)
-        for i in range(count):
-            samples[i] = sc.int_token("sample", 0, maxval)
+        samples = _split_p2_samples(data, sc.pos, count, maxval)
+        if samples is None:  # rescan token by token for the exact error and its offset
+            samples = np.empty(count, dtype=np.int32)
+            for i in range(count):
+                samples[i] = sc.int_token("sample", 0, maxval)
     else:
         if sc.pos >= len(data) or data[sc.pos] not in _WHITESPACE:
             raise PGMParseError("expected a single whitespace byte after maxval", offset=sc.pos)
@@ -103,6 +104,26 @@ def _parse_pgm(data: bytes) -> tuple[int, int, int, np.ndarray]:
     return width, height, maxval, samples
 
 
+def _split_p2_samples(data: bytes, pos: int, count: int, maxval: int) -> np.ndarray | None:
+    """The first ``count`` P2 samples from ``pos`` on, or None when they need the scanner.
+
+    Without a comment, the raster's tokens are exactly what ``bytes.split``
+    yields, since it splits on the same six whitespace bytes.
+    """
+    if data.find(b"#", pos) >= 0:
+        return None
+    tokens = data[pos:].split(None, count)[:count]
+    if len(tokens) < count:
+        return None
+    try:
+        values = np.array(list(map(int, tokens)), dtype=np.int64)
+    except (ValueError, OverflowError):
+        return None
+    if values.size and (values.min() < 0 or values.max() > maxval):
+        return None
+    return values.astype(np.int32)
+
+
 def read_mask(data: bytes) -> np.ndarray:
     """Read a P2/P5 graymap as a boolean mask (any nonzero sample is true)."""
     width, height, _, samples = _parse_pgm(data)
@@ -118,8 +139,8 @@ def read_labelmap(data: bytes) -> np.ndarray:
 def _write_pgm(values: np.ndarray, maxval: int) -> bytes:
     h, w = values.shape
     lines = [f"P2\n{w} {h}\n{maxval}\n"]
-    for y in range(h):
-        lines.append(" ".join(str(int(v)) for v in values[y]))
+    for row in values.tolist():
+        lines.append(" ".join(map(str, row)))
         lines.append("\n")
     return "".join(lines).encode("ascii")
 
@@ -139,14 +160,6 @@ def write_labelmap(labels) -> bytes:
     return _write_pgm(lab, max(top, 1))
 
 
-def _format_value(v: float) -> str:
-    if math.isinf(v):
-        return "inf"
-    if v == math.floor(v):
-        return str(int(v))
-    return repr(v)
-
-
 def write_field_csv(field) -> bytes:
     """Serialize a scalar field as CSV at full round-trip precision.
 
@@ -154,9 +167,15 @@ def write_field_csv(field) -> bytes:
     as ``inf`` and integral values drop the decimal point.
     """
     f = check_scalar_field(field)
+    finite = np.isfinite(f)
+    whole = finite & (f == np.floor(f))
     lines = []
-    for row in f:
-        lines.append(",".join(_format_value(float(v)) for v in row))
+    # Row by row, so that only one row's cell strings are alive at a time.
+    for row, row_whole, row_frac in zip(f, whole, finite & ~whole):
+        cells = np.full(row.size, "inf", dtype=object)
+        cells[row_whole] = list(map(str, map(int, row[row_whole].tolist())))
+        cells[row_frac] = list(map(repr, row[row_frac].tolist()))
+        lines.append(",".join(cells.tolist()))
         lines.append("\n")
     return "".join(lines).encode("ascii")
 

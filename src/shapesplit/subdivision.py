@@ -150,11 +150,18 @@ def subdivide(mask, path, plan: list[Cut]) -> np.ndarray:
         if pts[cut.index] != tuple(cut.anchor):
             raise ValidationError(f"cut anchor {cut.anchor} does not match path index {cut.index}")
 
+    # Cut on the region's bounding box, writing through to the full label
+    # map: row-major order there is the grid's, so components number alike.
+    ys, xs = np.nonzero(m)
+    y0, x0 = int(ys.min()), int(xs.min())
+    box = np.s_[y0 : int(ys.max()) + 1, x0 : int(xs.max()) + 1]
+    pts = [(px - x0, py - y0) for px, py in pts]
     length = len(pts)
     k = len(plan) + 1
     max_shift = length // (4 * k)
-    labels = np.zeros((h, w), dtype=np.int32)
-    working = m.copy()
+    full = np.zeros((h, w), dtype=np.int32)
+    labels = full[box]
+    working = m[box].copy()
 
     for j, cut in enumerate(plan, start=1):
         chosen = None
@@ -205,25 +212,56 @@ def subdivide(mask, path, plan: list[Cut]) -> np.ndarray:
         working &= ~(piece | band)
 
     labels[working] = k
-    return labels
+    return full
+
+
+# The 8-neighbors of a voxel in ring order, clockwise from north: even
+# positions are its 4-neighbors, odd positions the corners between them.
+_RING = ((0, -1), (1, -1), (1, 0), (1, 1), (0, 1), (-1, 1), (-1, 0), (-1, -1))
+
+
+def _has_holes(region: np.ndarray) -> bool:
+    """Whether the 4-connected ``region`` encloses background.
+
+    Gray's bit-quad count gives the 4-connectivity Euler number, components
+    minus holes, as (Q1 - Q3 + 2 QD) / 4 over the 2x2 windows of the padded
+    grid holding one, three, or two diagonal region voxels.
+    """
+    p = np.pad(region, 1)
+    a, b, c, d = p[:-1, :-1], p[:-1, 1:], p[1:, :-1], p[1:, 1:]
+    n = a.astype(np.int8) + b + c + d
+    quads = int((n == 1).sum()) - int((n == 3).sum()) + 2 * int(((n == 2) & (a == d)).sum())
+    return quads != 4
+
+
+def _ring_groups(region: np.ndarray, x: int, y: int) -> int:
+    """Groups the in-region 4-neighbors of voxel (x, y) form in its 3x3 ring.
+
+    Two 4-neighbors share a group when the corner between them is in the
+    region too, which joins them without the voxel.
+    """
+    h, w = region.shape
+    ring = [0 <= x + dx < w and 0 <= y + dy < h and bool(region[y + dy, x + dx]) for dx, dy in _RING]
+    joins = sum(ring[i] and ring[i + 1] and ring[(i + 2) % 8] for i in range(0, 8, 2))
+    return 1 if joins == 4 else sum(ring[0::2]) - joins
 
 
 def _stays_connected_without(region: np.ndarray, x: int, y: int) -> bool:
     """Would removing voxel (x, y) keep the region 4-connected and nonempty?
 
-    Local criterion: the region minus the voxel is connected iff all the
-    voxel's in-region 4-neighbors can reach each other without it.
+    It does iff the voxel's in-region 4-neighbors reach each other without
+    it: at once when they form one ring group (see ``_ring_groups``),
+    otherwise only if a search finds a way round.
     """
+    groups = _ring_groups(region, x, y)
+    if groups <= 1:
+        return groups == 1  # no neighbor: sole voxel of its region
     h, w = region.shape
     nbs = [
         (x + dx, y + dy)
         for dx, dy in NEIGHBOR_STEPS_4
         if 0 <= x + dx < w and 0 <= y + dy < h and region[y + dy, x + dx]
     ]
-    if not nbs:
-        return False  # sole voxel of its region
-    if len(nbs) == 1:
-        return True
     targets = set(nbs[1:])
     visited = {(x, y), nbs[0]}
     stack = [nbs[0]]
@@ -236,6 +274,18 @@ def _stays_connected_without(region: np.ndarray, x: int, y: int) -> bool:
                 targets.discard((px, py))
                 stack.append((px, py))
     return not targets
+
+
+def _removal_test(region: np.ndarray):
+    """``_stays_connected_without`` for ``region``, without its search if it can.
+
+    In a region without holes (see ``_has_holes``) the ring decides alone: a
+    path between two ring groups would close a loop around the background
+    corner between them.
+    """
+    if _has_holes(region):
+        return _stays_connected_without
+    return lambda region, x, y: _ring_groups(region, x, y) == 1
 
 
 def _near4(region: np.ndarray) -> np.ndarray:
@@ -288,10 +338,13 @@ def _strip_move(lab, areas, give: int, take: int, limit: int, arrival) -> int:
     cand.sort(key=lambda yx: arrival[yx])  # stable: ties stay row-major
     moved = 0
     donor_region = lab == give
+    # Every moved voxel borders the receiver, so it joins background the
+    # donor already touches: a donor without holes keeps none.
+    keeps = _removal_test(donor_region)
     for y, x in cand:
         if moved >= limit or areas[give] <= 1:
             break
-        if _stays_connected_without(donor_region, x, y):
+        if keeps(donor_region, x, y):
             lab[y, x] = take
             donor_region[y, x] = False
             areas[give] -= 1
@@ -303,7 +356,8 @@ def _strip_move(lab, areas, give: int, take: int, limit: int, arrival) -> int:
 def _can_give(lab, give: int, take: int) -> bool:
     """Whether ``give`` can hand ``take`` a border voxel and stay 4-connected."""
     region = lab == give
-    return any(_stays_connected_without(region, x, y) for y, x in _border_candidates(lab, give, take))
+    keeps = _removal_test(region)
+    return any(keeps(region, x, y) for y, x in _border_candidates(lab, give, take))
 
 
 def _route_to_deficit(lab, areas, goals, k: int, dest: int) -> list[int] | None:
@@ -374,6 +428,12 @@ def balance_areas(labels, k: int, arrival) -> np.ndarray:
         raise ValidationError(f"label map must contain exactly labels 1..{k}")
     if not np.isfinite(arr[lab > 0]).all():
         raise ValidationError("arrival values must be finite on all labeled voxels")
+    # Work in place on the labels' bounding box: the voxels around it are
+    # background, as the grid's outside is, and row-major order is kept.
+    full = lab
+    ys, xs = np.nonzero(full)
+    box = np.s_[ys.min() : ys.max() + 1, xs.min() : xs.max() + 1]
+    lab, arr = full[box], arr[box]
     for j in range(1, k + 1):
         if not is_connected(lab == j):
             raise BalanceError(f"balance failed: region {j} is not 4-connected")
@@ -435,8 +495,9 @@ def balance_areas(labels, k: int, arrival) -> np.ndarray:
         cand = [(int(y), int(x)) for y, x in np.argwhere(region)]
         cand.sort(key=lambda yx: -arr[yx])  # stable: ties stay row-major
         for _ in range(leftover):
+            keeps = _removal_test(region)  # trimming an inner voxel opens a hole
             for y, x in cand:
-                if region[y, x] and _stays_connected_without(region, x, y):
+                if region[y, x] and keeps(region, x, y):
                     lab[y, x] = 0
                     region[y, x] = False
                     break
@@ -449,7 +510,7 @@ def balance_areas(labels, k: int, arrival) -> np.ndarray:
     for j in range(1, k + 1):
         if not is_connected(lab == j):
             raise BalanceError(f"balance failed: region {j} is not 4-connected")
-    return lab
+    return full
 
 
 def subdivide_equal(mask, k: int, exponent: float = DEFAULT_EXPONENT, balance: bool = True) -> np.ndarray:

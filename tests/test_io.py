@@ -1,4 +1,5 @@
 import json
+import math
 
 import numpy as np
 import pytest
@@ -40,6 +41,20 @@ class TestReadMask:
     def test_comment_inside_raster(self):
         data = b"P2\n2 2\n1\n0 1 # half\n1 0\n"
         assert read_mask(data).tolist() == [[False, True], [True, False]]
+
+    def test_raster_tokens_match_the_scanner(self):
+        # the comment-free fast path and the token scanner read alike, and
+        # a bad sample is reported at its own offset either way
+        mask = random_mask(3)
+        plain = write_mask(mask)
+        header_end = plain.index(b"\n", plain.index(b"\n", 3) + 1) + 1
+        commented = plain[:header_end] + b"# raster\n" + plain[header_end:]
+        assert np.array_equal(read_mask(plain), mask)
+        assert np.array_equal(read_mask(commented), mask)
+        for data in (b"P2\n3 1\n1\n0 1 x\n", b"P2\n3 1\n1\n0 1 # c\n x\n"):
+            with pytest.raises(PGMParseError, match="integer") as exc:
+                read_mask(data)
+            assert data[exc.value.offset : exc.value.offset + 1] == b"x"
 
     def test_bad_magic(self):
         with pytest.raises(PGMParseError, match="magic"):
@@ -115,6 +130,19 @@ class TestFieldCsv:
     def test_one_and_inf(self):
         field = np.array([[1.0, np.inf]])
         assert write_field_csv(field) == b"1,inf\n"
+
+    def test_matches_per_cell_reference(self):
+        def cell(v):
+            if math.isinf(v):
+                return "inf"
+            return str(int(v)) if v == math.floor(v) else repr(v)
+
+        rng = np.random.default_rng(4)
+        field = rng.random((13, 17)) * 10.0 ** rng.integers(-8, 30, size=(13, 17))
+        field[rng.random((13, 17)) < 0.3] = np.inf
+        field[rng.random((13, 17)) < 0.2] = 7.0
+        expected = "".join(",".join(cell(float(v)) for v in row) + "\n" for row in field)
+        assert write_field_csv(field) == expected.encode("ascii")
 
     def test_roundtrip_bit_exact(self):
         rng = np.random.default_rng(8)

@@ -15,6 +15,7 @@ from shapesplit import (
     subdivide_equal,
 )
 from shapesplit.eikonal import ArrivalField
+from shapesplit.subdivision import _has_holes, _removal_test, _stays_connected_without
 
 from conftest import make_blob
 from oracles import flood_fill_components
@@ -286,6 +287,37 @@ class TestBalanceAreas:
         out = balance_areas(labels, 2, synthetic_arrival(labels.shape))
         assert areas_of(out, 2) == [4, 4]
         assert out[0, 8] == 0  # largest x + y in region 2
+
+
+class TestStaysConnectedWithout:
+    @pytest.mark.parametrize("seed", range(3))
+    def test_matches_flood_fill_oracle(self, seed):
+        # every voxel of every 4-component of small random masks, holes
+        # included, through the full test and the one picked for the region
+        rng = np.random.default_rng(seed)
+        for _ in range(120):
+            h, w = (int(v) for v in rng.integers(1, 10, size=2))
+            mask = rng.random((h, w)) < rng.uniform(0.3, 0.95)
+            comps, count = flood_fill_components(mask, 4)
+            for c in range(1, count + 1):
+                region = comps == c
+                _, background = flood_fill_components(~np.pad(region, 1), 8)
+                assert _has_holes(region) == (background > 1)
+                for y, x in np.argwhere(region):
+                    rest = region.copy()
+                    rest[y, x] = False
+                    truth = flood_fill_components(rest, 4)[1] == 1
+                    assert _stays_connected_without(region, int(x), int(y)) == truth
+                    assert _removal_test(region)(region, int(x), int(y)) == truth
+
+    def test_loop_around_a_hole_needs_the_search(self):
+        # the top middle voxel splits its two neighbors locally, yet the
+        # ring joins them the long way round
+        ring = np.ones((3, 3), dtype=bool)
+        ring[1, 1] = False
+        assert _has_holes(ring)
+        assert _removal_test(ring)(ring, 1, 0)
+        assert not _removal_test(ring[:2])(ring[:2], 1, 0)
 
 
 class TestSubdivideEqual:
