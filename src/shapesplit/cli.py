@@ -88,6 +88,11 @@ def _write_file_atomic(path: str, payload: bytes) -> None:
         raise
 
 
+def _centerline_csv(path) -> bytes:
+    """One ``x,y`` line per centerline voxel."""
+    return "".join(f"{x},{y}\n" for x, y in path).encode("ascii")
+
+
 def _write_dumps(dump_dir: str, est: EqualAreaSubdivider) -> None:
     os.makedirs(dump_dir, exist_ok=True)
 
@@ -98,7 +103,7 @@ def _write_dumps(dump_dir: str, est: EqualAreaSubdivider) -> None:
     put("distance.csv", formats.write_field_csv(est.distance_map_))
     put("arrival1.csv", formats.write_field_csv(est.first_arrival_))
     put("arrival2.csv", formats.write_field_csv(est.second_arrival_))
-    put("centerline.csv", "".join(f"{x},{y}\n" for x, y in est.centerline_).encode("ascii"))
+    put("centerline.csv", _centerline_csv(est.centerline_))
     put(
         "cuts.csv",
         "".join(
@@ -125,8 +130,7 @@ def _cmd_subdivide(args) -> int:
 def _cmd_centerline(args) -> int:
     mask = formats.read_mask(_read_file(args.input))
     est = CenterlineExtractor().fit(mask)
-    payload = "".join(f"{x},{y}\n" for x, y in est.path_).encode("ascii")
-    _write_file_atomic(args.output, payload)
+    _write_file_atomic(args.output, _centerline_csv(est.path_))
     return 0
 
 

@@ -13,7 +13,7 @@ import inspect
 import numpy as np
 
 from .centerline import DEFAULT_EXPONENT, _extract_full
-from .subdivision import balance_areas, sample_cut_points, subdivide
+from .subdivision import _cut_and_balance
 from .validation import check_mask, check_positive_int
 
 
@@ -119,10 +119,7 @@ class EqualAreaSubdivider(BaseEstimator):
         mask = check_mask(X, require_nonempty=True)
         k = check_positive_int(self.n_regions, "n_regions")
         result = _extract_full(mask, self.exponent)
-        plan = sample_cut_points(result.path, k)
-        labels = subdivide(mask, result.path, plan)
-        if self.balance:
-            labels = balance_areas(labels, k, result.second_wave)
+        plan, labels = _cut_and_balance(mask, result, k, self.balance)
 
         self.labels_ = labels
         self.centerline_ = np.asarray(result.path, dtype=np.int64)

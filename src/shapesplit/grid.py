@@ -1,12 +1,13 @@
-"""Grid primitives: neighborhoods, flood fill and connected-component labeling.
+"""Grid primitives: neighborhoods and connected-component labeling.
 
 Coordinates are ``(x, y)`` pairs on a ``width x height`` grid; arrays are
 indexed ``[y, x]``. Everything outside the grid counts as background.
+Every connectivity question in the library (is a region one piece, which
+pieces does a cut leave, which band voxels reach the anchor) is answered
+by the one run-based labeling in ``connected_components``.
 """
 
 from __future__ import annotations
-
-from collections import deque
 
 import numpy as np
 
@@ -35,43 +36,19 @@ def neighbors(coord, dims, connectivity: int = 4) -> list[tuple[int, int]]:
     ]
 
 
-def flood(region: np.ndarray, start, steps) -> np.ndarray:
-    """Voxels of the boolean array ``region`` reachable from ``start = (x, y)``.
-
-    Breadth-first fill moving by the offsets in ``steps``, such as
-    ``NEIGHBOR_STEPS_4`` or ``NEIGHBOR_STEPS_8``. Returns a boolean mask,
-    empty when ``start`` is not in ``region``. Arguments are not validated,
-    since callers run it in inner loops.
-    """
-    h, w = region.shape
-    x, y = start
-    out = np.zeros((h, w), dtype=bool)
-    if not region[y, x]:
-        return out
-    out[y, x] = True
-    queue = deque([(x, y)])
-    while queue:
-        cx, cy = queue.popleft()
-        for dx, dy in steps:
-            px, py = cx + dx, cy + dy
-            if 0 <= px < w and 0 <= py < h and region[py, px] and not out[py, px]:
-                out[py, px] = True
-                queue.append((px, py))
-    return out
-
-
-def is_connected(region: np.ndarray, steps=NEIGHBOR_STEPS_4) -> bool:
-    """True when ``region`` is nonempty and one piece under ``steps``."""
-    ys, xs = np.nonzero(region)
-    return xs.size > 0 and int(flood(region, (int(xs[0]), int(ys[0])), steps).sum()) == xs.size
+def is_connected(region: np.ndarray) -> bool:
+    """True when ``region`` is nonempty and 4-connected."""
+    return connected_components(region)[1] == 1
 
 
 def connected_components(mask, connectivity: int = 4) -> tuple[np.ndarray, int]:
     """Label connected components of a boolean mask.
 
-    Uses a two-pass run-based union-find. Components are numbered
-    ``1..count`` in order of first encounter in a row-major scan, so the
-    numbering is deterministic; background voxels get label 0.
+    Run-based labeling over the whole array: every row run is found at once,
+    each run is joined to the runs it touches on the row above, and the
+    labels are painted run by run. Components are numbered ``1..count`` in
+    order of first encounter in a row-major scan, so the numbering is
+    deterministic; background voxels get label 0.
 
     Returns ``(labels, count)`` with ``labels`` an int32 array of the same
     shape as ``mask``.
@@ -81,66 +58,41 @@ def connected_components(mask, connectivity: int = 4) -> tuple[np.ndarray, int]:
     h, w = m.shape
     labels = np.zeros((h, w), dtype=np.int32)
 
-    parent: list[int] = []
+    # Runs [start, end) per row, in row-major order, from the edges of the
+    # rows padded with background on both sides.
+    edges = np.diff(np.pad(m, ((0, 0), (1, 1))).view(np.int8), axis=1)
+    rows, starts = np.nonzero(edges == 1)
+    ends = np.nonzero(edges == -1)[1]
+
+    # Runs touch across rows when their column intervals overlap; 8-connectivity
+    # widens the window by one column on each side. On keys row * (w + 2) + col,
+    # one search per side finds the slice [lo, hi) of touching runs one row up.
+    slack = 0 if conn == 4 else 1
+    pitch = w + 2
+    above = (rows - 1) * pitch
+    lo = np.searchsorted(rows * pitch + ends, above + starts - slack, side="right")
+    hi = np.searchsorted(rows * pitch + starts, above + ends + slack, side="left")
+
+    # Union-find over runs; each root is the earliest run of its component.
+    parent = list(range(rows.size))
 
     def find(i: int) -> int:
-        # path halving
         while parent[i] != i:
-            parent[i] = parent[parent[i]]
+            parent[i] = parent[parent[i]]  # path halving
             i = parent[i]
         return i
 
-    def union(i: int, j: int) -> None:
-        ri, rj = find(i), find(j)
-        if ri != rj:
-            if ri < rj:
-                parent[rj] = ri
-            else:
-                parent[ri] = rj
+    touching = np.flatnonzero(lo < hi)
+    for i, a, b in zip(touching.tolist(), lo[touching].tolist(), hi[touching].tolist()):
+        root = find(a)
+        for j in range(a + 1, b):
+            other = find(j)
+            if other != root:
+                root, other = min(root, other), max(root, other)
+                parent[other] = root
+        parent[i] = root
 
-    # Runs touch across rows when their column intervals [s, e) overlap;
-    # 8-connectivity widens the window by one column on each side.
-    slack = 0 if conn == 4 else 1
-
-    rows_runs: list[list[tuple[int, int, int]]] = []
-    prev_runs: list[tuple[int, int, int]] = []
-    for y in range(h):
-        row = m[y]
-        true_cols = np.flatnonzero(row)
-        cur_runs: list[tuple[int, int, int]] = []
-        if true_cols.size:
-            breaks = np.flatnonzero(np.diff(true_cols) > 1)
-            starts = np.concatenate(([0], breaks + 1))
-            ends = np.concatenate((breaks, [true_cols.size - 1]))
-            for si, ei in zip(starts, ends):
-                s = int(true_cols[si])
-                e = int(true_cols[ei]) + 1
-                rid = len(parent)
-                parent.append(rid)
-                cur_runs.append((s, e, rid))
-        j = 0
-        for s, e, rid in cur_runs:
-            while j < len(prev_runs) and prev_runs[j][1] <= s - slack:
-                j += 1
-            jj = j
-            while jj < len(prev_runs) and prev_runs[jj][0] < e + slack:
-                union(rid, prev_runs[jj][2])
-                jj += 1
-        rows_runs.append(cur_runs)
-        prev_runs = cur_runs
-
-    # Renumber roots in order of first encounter; run ids were created in
-    # row-major order, so the first run of a component fixes its number.
-    numbering: dict[int, int] = {}
-    count = 0
-    for rid in range(len(parent)):
-        root = find(rid)
-        if root not in numbering:
-            count += 1
-            numbering[root] = count
-
-    for y, cur_runs in enumerate(rows_runs):
-        for s, e, rid in cur_runs:
-            labels[y, s:e] = numbering[find(rid)]
-
-    return labels, count
+    roots, run_label = np.unique([find(i) for i in range(rows.size)], return_inverse=True)
+    # True voxels in row-major order are the runs in order.
+    labels[m] = np.repeat(run_label.astype(np.int32) + 1, ends - starts)
+    return labels, int(roots.size)

@@ -182,11 +182,16 @@ def write_field_csv(field) -> bytes:
 
 def read_field_csv(data: bytes) -> np.ndarray:
     """Read a field written by :func:`write_field_csv`."""
-    text = data.decode("ascii")
+    text = data.decode("ascii", errors="replace")
     rows = [line.split(",") for line in text.split("\n") if line]
     if not rows:
         raise ValidationError("empty field file")
-    return np.array([[float(cell) for cell in row] for row in rows], dtype=np.float64)
+    if any(len(row) != len(rows[0]) for row in rows):
+        raise ValidationError("field rows differ in length")
+    try:
+        return np.array([[float(cell) for cell in row] for row in rows], dtype=np.float64)
+    except ValueError:
+        raise ValidationError("field file holds a value that is not a number") from None
 
 
 @dataclass(frozen=True)

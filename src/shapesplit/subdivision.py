@@ -18,10 +18,9 @@ from typing import NamedTuple
 
 import numpy as np
 
-from .centerline import DEFAULT_EXPONENT, _extract_full
-from .eikonal import ArrivalField
+from .centerline import DEFAULT_EXPONENT, CenterlineResult, _extract_full
 from .exceptions import BalanceError, CutError, ValidationError
-from .grid import NEIGHBOR_STEPS_4, NEIGHBOR_STEPS_8, connected_components, flood, is_connected
+from .grid import connected_components, is_connected
 from .validation import (
     check_coord,
     check_labelmap,
@@ -97,7 +96,8 @@ def _band_mask(region: np.ndarray, anchor, normal) -> np.ndarray:
     ys = np.arange(h, dtype=np.float64) - ay
     dot = nx * xs[None, :] + ny * ys[:, None]
     line = region & (2.0 * np.abs(dot) <= max(abs(nx), abs(ny)))
-    return flood(line, (ax, ay), NEIGHBOR_STEPS_8)
+    comps, _ = connected_components(line, connectivity=8)
+    return comps == comps[ay, ax]
 
 
 def cut_band(mask, anchor, normal) -> set[tuple[int, int]]:
@@ -109,9 +109,12 @@ def cut_band(mask, anchor, normal) -> set[tuple[int, int]]:
     x, y = check_coord(anchor, m.shape)
     if not m[y, x]:
         raise ValidationError(f"anchor ({x}, {y}) is not a true voxel of the mask")
-    nx, ny = float(normal[0]), float(normal[1])
-    if nx == 0 and ny == 0:
-        raise ValidationError("cut normal must be nonzero")
+    try:
+        nx, ny = (float(v) for v in normal)
+    except (TypeError, ValueError):
+        raise ValidationError(f"cut normal must be an (nx, ny) pair, got {normal!r}") from None
+    if not np.isfinite((nx, ny)).all() or nx == ny == 0:
+        raise ValidationError(f"cut normal must be finite and nonzero, got {normal!r}")
     band = _band_mask(m, (x, y), (nx, ny))
     ys, xs = np.nonzero(band)
     return {(int(px), int(py)) for px, py in zip(xs, ys)}
@@ -156,6 +159,7 @@ def subdivide(mask, path, plan: list[Cut]) -> np.ndarray:
     y0, x0 = int(ys.min()), int(xs.min())
     box = np.s_[y0 : int(ys.max()) + 1, x0 : int(xs.max()) + 1]
     pts = [(px - x0, py - y0) for px, py in pts]
+    path_x, path_y = np.array(pts).T
     length = len(pts)
     k = len(plan) + 1
     max_shift = length // (4 * k)
@@ -178,38 +182,29 @@ def subdivide(mask, path, plan: list[Cut]) -> np.ndarray:
             except ValidationError:
                 continue
             band = _band_mask(working, (ax, ay), direction)
-            remaining = working & ~band
-            comps, ncomp = connected_components(remaining, connectivity=4)
-            if ncomp < 2:
+            comps, ncomp = connected_components(working & ~band, connectivity=4)
+            # Components along the path, in path order, the first behind the
+            # cut; band voxels and labeled parts are off the working mask.
+            along = comps[path_y, path_x]
+            along = along[along > 0]
+            if ncomp < 2 or along.size == 0:
                 continue
-            behind = 0
-            for px, py in pts:
-                if labels[py, px] == 0 and remaining[py, px]:
-                    behind = int(comps[py, px])
-                    break
-            if behind == 0:
-                continue
-            candidate = (band, remaining, comps, behind)
+            part = band | (comps == along[0])
             if fallback is None:
-                fallback = candidate
+                fallback = part
             # Prefer a cut that (a) strands no component, since one holding no
             # centerline voxel can never be labeled by a later cut, and (b)
             # yields a 4-connected region once the band joins the behind side;
             # a diagonal band's tail can otherwise hang off the far side.
-            hit = {int(comps[py, px]) for px, py in pts if remaining[py, px]}
-            if len(hit) == ncomp and is_connected(band | (comps == behind)):
-                chosen = candidate
+            if np.unique(along).size == ncomp and is_connected(part):
+                chosen = part
                 break
         if chosen is None:
             chosen = fallback
         if chosen is None:
             raise CutError(f"cut failed at segment {j}")
-        band, remaining, comps, behind = chosen
-
-        piece = remaining & (comps == behind)
-        labels[piece] = j
-        labels[band] = j
-        working &= ~(piece | band)
+        labels[chosen] = j
+        working &= ~chosen
 
     labels[working] = k
     return full
@@ -251,29 +246,14 @@ def _stays_connected_without(region: np.ndarray, x: int, y: int) -> bool:
 
     It does iff the voxel's in-region 4-neighbors reach each other without
     it: at once when they form one ring group (see ``_ring_groups``),
-    otherwise only if a search finds a way round.
+    otherwise only if the 4-connected region stays one piece without it.
     """
     groups = _ring_groups(region, x, y)
     if groups <= 1:
         return groups == 1  # no neighbor: sole voxel of its region
-    h, w = region.shape
-    nbs = [
-        (x + dx, y + dy)
-        for dx, dy in NEIGHBOR_STEPS_4
-        if 0 <= x + dx < w and 0 <= y + dy < h and region[y + dy, x + dx]
-    ]
-    targets = set(nbs[1:])
-    visited = {(x, y), nbs[0]}
-    stack = [nbs[0]]
-    while stack and targets:
-        cx, cy = stack.pop()
-        for dx, dy in NEIGHBOR_STEPS_4:
-            px, py = cx + dx, cy + dy
-            if 0 <= px < w and 0 <= py < h and region[py, px] and (px, py) not in visited:
-                visited.add((px, py))
-                targets.discard((px, py))
-                stack.append((px, py))
-    return not targets
+    rest = region.copy()
+    rest[y, x] = False
+    return is_connected(rest)
 
 
 def _removal_test(region: np.ndarray):
@@ -418,10 +398,7 @@ def balance_areas(labels, k: int, arrival) -> np.ndarray:
     """
     k = check_positive_int(k, "k")
     lab = check_labelmap(labels).copy()
-    if isinstance(arrival, ArrivalField):
-        arr = arrival.values
-    else:
-        arr = check_scalar_field(arrival, shape=lab.shape)
+    arr = check_scalar_field(getattr(arrival, "values", arrival), shape=lab.shape)  # ArrivalField or array
 
     present = set(np.unique(lab).tolist())
     if not present <= set(range(k + 1)) or not set(range(1, k + 1)) <= present:
@@ -523,9 +500,13 @@ def subdivide_equal(mask, k: int, exponent: float = DEFAULT_EXPONENT, balance: b
     """
     k = check_positive_int(k, "k")
     m = check_mask(mask, require_nonempty=True)
-    result = _extract_full(m, exponent)
-    plan = sample_cut_points(result.path, k)
-    lab = subdivide(m, result.path, plan)
+    return _cut_and_balance(m, _extract_full(m, exponent), k, balance)[1]
+
+
+def _cut_and_balance(mask: np.ndarray, centerline: CenterlineResult, k: int, balance: bool):
+    """``(plan, labels)``: cuts planned along ``centerline``, applied to ``mask``, balanced if asked."""
+    plan = sample_cut_points(centerline.path, k)
+    labels = subdivide(mask, centerline.path, plan)
     if balance:
-        lab = balance_areas(lab, k, result.second_wave)
-    return lab
+        labels = balance_areas(labels, k, centerline.second_wave)
+    return plan, labels

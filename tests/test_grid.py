@@ -2,10 +2,26 @@ import numpy as np
 import pytest
 
 from shapesplit import ValidationError, connected_components, neighbors
-from shapesplit.grid import NEIGHBOR_STEPS_4, NEIGHBOR_STEPS_8, flood, is_connected
+from shapesplit.grid import is_connected
 
 from conftest import random_mask
 from oracles import flood_fill_components
+
+_rng = np.random.default_rng(7)
+_edge_runs = _rng.random((16, 20)) < 0.5
+_edge_runs[::2, :3] = True  # runs from the left edge
+_edge_runs[1::2, -3:] = True  # runs to the right edge
+_edge_runs[5] = True  # one run from edge to edge
+
+# Edge shapes for the oracle test, next to the random masks of seeds 0-4.
+EDGE_SHAPES = {
+    "1x1": np.ones((1, 1), dtype=bool),
+    "1xW": _rng.random((1, 40)) < 0.6,
+    "Hx1": _rng.random((40, 1)) < 0.6,
+    "filled": np.ones((12, 17), dtype=bool),
+    "checkerboard": np.indices((9, 10)).sum(axis=0) % 2 == 0,
+    "edge_runs": _edge_runs,
+}
 
 
 class TestNeighbors:
@@ -58,23 +74,20 @@ class TestConnectedComponents:
         assert count == 3
         assert labels.tolist() == [[1, 1, 0, 2, 0, 3, 3, 3]]
 
-    @pytest.mark.parametrize("seed", range(5))
+    @pytest.mark.parametrize("case", [*range(5), *EDGE_SHAPES])
     @pytest.mark.parametrize("connectivity", [4, 8])
-    def test_matches_flood_fill_oracle(self, seed, connectivity):
-        mask = random_mask(seed, size=32)
+    def test_matches_flood_fill_oracle(self, case, connectivity):
+        mask = EDGE_SHAPES[case] if isinstance(case, str) else random_mask(case, size=32)
         got, count = connected_components(mask, connectivity)
         want, want_count = flood_fill_components(mask, connectivity)
         assert count == want_count
         assert np.array_equal(got, want)
-        # flood and is_connected, started from the first voxel of component 1
-        steps = NEIGHBOR_STEPS_4 if connectivity == 4 else NEIGHBOR_STEPS_8
-        ys, xs = np.nonzero(want == 1)
-        assert np.array_equal(flood(mask, (int(xs[0]), int(ys[0])), steps), want == 1)
-        assert is_connected(want == 1, steps)
-        assert is_connected(mask, steps) == (want_count == 1)
-        assert not is_connected(np.zeros_like(mask), steps)
-        by, bx = np.argwhere(~mask)[0]
-        assert not flood(mask, (int(bx), int(by)), steps).any()
+        assert got.dtype == np.int32
+        # is_connected asks for 4-connectivity
+        comps4, count4 = flood_fill_components(mask, 4)
+        assert is_connected(comps4 == 1)
+        assert is_connected(mask) == (count4 == 1)
+        assert not is_connected(np.zeros_like(mask))
 
     def test_row_major_first_encounter_order(self):
         mask = random_mask(11, size=32)

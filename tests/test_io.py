@@ -155,6 +155,11 @@ class TestFieldCsv:
         with pytest.raises(ValidationError):
             write_field_csv(np.array([[np.nan]]))
 
+    @pytest.mark.parametrize("data", [b"1,2\n3\n", b"1,x\n", b"1,\n", b"1,\xff\n"])
+    def test_malformed_field_rejected(self, data):
+        with pytest.raises(ValidationError):
+            read_field_csv(data)
+
 
 class TestRegionStats:
     def test_single_voxel(self):

@@ -111,6 +111,11 @@ class TestCutBand:
         with pytest.raises(ValidationError):
             cut_band(np.ones((3, 3), dtype=bool), (1, 1), (0, 0))
 
+    @pytest.mark.parametrize("normal", [3, (1,), (1, 2, 3), ("a", 1), None, (np.nan, 1), (np.inf, 0)])
+    def test_bad_normal_rejected(self, normal):
+        with pytest.raises(ValidationError, match="normal"):
+            cut_band(np.ones((3, 3), dtype=bool), (1, 1), normal)
+
 
 def areas_of(labels, k):
     return [int((labels == j).sum()) for j in range(1, k + 1)]
@@ -247,6 +252,11 @@ class TestBalanceAreas:
         arrival = ArrivalField(values=np.full((2, 4), np.inf), source=(0, 0))
         with pytest.raises(ValidationError):
             balance_areas(labels, 1, arrival)
+
+    def test_arrival_field_shape_checked(self):
+        labels = np.ones((2, 4), dtype=np.int32)
+        with pytest.raises(ValidationError, match="shape"):
+            balance_areas(labels, 1, synthetic_arrival((2, 3)))
 
     def test_disconnected_region_is_balance_failure(self):
         labels = np.zeros((1, 5), dtype=np.int32)
