@@ -39,15 +39,8 @@ class Cut(NamedTuple):
     normal: tuple[int, int]
 
 
-def normal_at(path, i: int) -> tuple[int, int]:
-    """Direction of the path at interior index ``i``.
-
-    Computed from the two surrounding voxels as
-    ``(x[i+1] - x[i-1], y[i+1] - y[i-1])``; the perpendicular cut at ``i``
-    consists of the voxels whose offset from the anchor is orthogonal to
-    this vector.
-    """
-    pts = check_path(path)
+def _tangent(pts: list[tuple[int, int]], i: int) -> tuple[int, int]:
+    """``normal_at`` on a path that ``check_path`` has already validated."""
     n = len(pts)
     if not 1 <= i <= n - 2:
         raise ValidationError(f"index {i} needs two path neighbors (valid range 1..{n - 2})")
@@ -56,6 +49,17 @@ def normal_at(path, i: int) -> tuple[int, int]:
     if dx == 0 and dy == 0:
         raise ValidationError(f"degenerate tangent at path index {i}")
     return dx, dy
+
+
+def normal_at(path, i: int) -> tuple[int, int]:
+    """Direction of the path at interior index ``i``.
+
+    Computed from the two surrounding voxels as
+    ``(x[i+1] - x[i-1], y[i+1] - y[i-1])``; the perpendicular cut at ``i``
+    consists of the voxels whose offset from the anchor is orthogonal to
+    this vector.
+    """
+    return _tangent(check_path(path), i)
 
 
 def sample_cut_points(path, k: int) -> list[Cut]:
@@ -77,7 +81,7 @@ def sample_cut_points(path, k: int) -> list[Cut]:
     plan = []
     for j in range(1, k):
         idx = (2 * j * (length - 1) + k) // (2 * k)
-        plan.append(Cut(index=idx, anchor=pts[idx], normal=normal_at(pts, idx)))
+        plan.append(Cut(index=idx, anchor=pts[idx], normal=_tangent(pts, idx)))
     return plan
 
 
@@ -177,11 +181,7 @@ def subdivide(mask, path, plan: list[Cut]) -> np.ndarray:
             ax, ay = pts[i]
             if not working[ay, ax]:
                 continue
-            try:
-                direction = normal_at(pts, i)
-            except ValidationError:
-                continue
-            band = _band_mask(working, (ax, ay), direction)
+            band = _band_mask(working, (ax, ay), _tangent(pts, i))
             comps, ncomp = connected_components(working & ~band, connectivity=4)
             # Components along the path, in path order, the first behind the
             # cut; band voxels and labeled parts are off the working mask.

@@ -19,14 +19,20 @@ from .exceptions import ValidationError
 MAX_VOXELS = 1 << 26
 
 
+def _as_int(value) -> int:
+    """``value`` as a plain int; ``ValueError`` for bools and non-integral numbers."""
+    out = int(value)
+    if isinstance(value, (bool, np.bool_)) or out != value:
+        raise ValueError(value)
+    return out
+
+
 def check_dims(dims, max_voxels: int = MAX_VOXELS) -> tuple[int, int]:
     """Validate a ``(width, height)`` pair and return it as plain ints."""
     try:
-        width, height = dims
-        width = int(width)
-        height = int(height)
-    except (TypeError, ValueError):
-        raise ValidationError(f"dims must be a (width, height) pair, got {dims!r}") from None
+        width, height = (_as_int(v) for v in dims)
+    except (TypeError, ValueError, OverflowError):
+        raise ValidationError(f"dims must be a (width, height) pair of integers, got {dims!r}") from None
     if width < 1 or height < 1:
         raise ValidationError(f"grid dimensions must be >= 1, got {width}x{height}")
     if width * height > max_voxels:
@@ -56,7 +62,10 @@ def check_mask(mask, require_nonempty: bool = False, max_voxels: int = MAX_VOXEL
 
 def check_scalar_field(field, shape=None) -> np.ndarray:
     """Coerce to a 2D float64 field of non-negative values; +inf allowed."""
-    arr = np.asarray(field, dtype=np.float64)
+    try:
+        arr = np.asarray(field, dtype=np.float64)
+    except (TypeError, ValueError):
+        raise ValidationError("field must be an array of real numbers") from None
     if arr.ndim != 2:
         raise ValidationError(f"field must be 2D, got {arr.ndim} dimension(s)")
     if shape is not None and arr.shape != tuple(shape):
@@ -85,11 +94,9 @@ def check_labelmap(labels, shape=None) -> np.ndarray:
 def check_coord(coord, shape) -> tuple[int, int]:
     """Validate an ``(x, y)`` coordinate against an array ``shape = (h, w)``."""
     try:
-        x, y = coord
-        x = int(x)
-        y = int(y)
-    except (TypeError, ValueError):
-        raise ValidationError(f"coordinate must be an (x, y) pair, got {coord!r}") from None
+        x, y = (_as_int(v) for v in coord)
+    except (TypeError, ValueError, OverflowError):
+        raise ValidationError(f"coordinate must be an (x, y) pair of integers, got {coord!r}") from None
     h, w = shape
     if not (0 <= x < w and 0 <= y < h):
         raise ValidationError(f"coordinate ({x}, {y}) out of bounds for {w}x{h} grid")
@@ -99,9 +106,9 @@ def check_coord(coord, shape) -> tuple[int, int]:
 def check_path(path) -> list[tuple[int, int]]:
     """Validate an ordered voxel path: 8-adjacent consecutive steps, no repeats."""
     try:
-        pts = [(int(x), int(y)) for x, y in path]
-    except (TypeError, ValueError):
-        raise ValidationError("path must be a sequence of (x, y) pairs") from None
+        pts = [(_as_int(x), _as_int(y)) for x, y in path]
+    except (TypeError, ValueError, OverflowError):
+        raise ValidationError("path must be a sequence of (x, y) integer pairs") from None
     if not pts:
         raise ValidationError("path must contain at least one voxel")
     if len(set(pts)) != len(pts):

@@ -3,10 +3,30 @@ import math
 import numpy as np
 import pytest
 
-from shapesplit import ArrivalField, ValidationError, argmax_field, descend, fast_march
+from shapesplit import (
+    ArrivalField,
+    ValidationError,
+    argmax_field,
+    descend,
+    euclidean_distance_map,
+    fast_march,
+)
 
 from conftest import make_blob
 from oracles import sweep_arrival
+
+
+def assert_matches_sweep(pot, domain, src):
+    """``fast_march`` agrees with the sweeping oracle; +inf in the same places."""
+    pot_before, dom_before = pot.copy(), domain.copy()
+    got = fast_march(pot, domain, src).values
+    assert np.array_equal(pot, pot_before) and np.array_equal(domain, dom_before)
+    want = sweep_arrival(pot, domain, src)
+    assert got.dtype == np.float64 and got.shape == domain.shape
+    assert np.array_equal(np.isinf(got), np.isinf(want))
+    finite = np.isfinite(want)
+    assert np.abs(got[finite] - want[finite]).max() <= 1e-9
+    return got
 
 
 def unit_strip(n=5):
@@ -67,6 +87,47 @@ class TestFastMarch:
         want = sweep_arrival(pot, domain, src)
         assert np.abs(got - want).max() <= 1e-9
 
+    @pytest.mark.parametrize("seed", range(4))
+    def test_matches_sweep_on_domain_with_holes(self, seed):
+        rng = np.random.default_rng(300 + seed)
+        domain = rng.random((24, 28)) < 0.8
+        domain[12, 14] = True
+        pot = rng.uniform(0.2, 5.0, domain.shape)
+        assert_matches_sweep(pot, domain, (14, 12))
+
+    def test_matches_sweep_with_unreachable_components(self):
+        rng = np.random.default_rng(310)
+        domain = np.zeros((20, 30), dtype=bool)
+        domain[2:18, 2:12] = True  # source side
+        domain[2:18, 16:28] = True  # cut off by the empty columns 12-15
+        domain[8:11, 5:9] = False  # a hole in the source side
+        domain[0, 29] = True  # an isolated voxel
+        pot = rng.uniform(0.5, 2.0, domain.shape)
+        got = assert_matches_sweep(pot, domain, (3, 3))
+        assert np.isinf(got[:, 16:]).all()
+
+    @pytest.mark.parametrize("shape, src", [((1, 1), (0, 0)), ((1, 17), (5, 0)), ((17, 1), (0, 16))])
+    def test_matches_sweep_on_thin_domains(self, shape, src):
+        pot = np.random.default_rng(320).uniform(0.2, 5.0, shape)
+        got = assert_matches_sweep(pot, np.ones(shape, dtype=bool), src)
+        assert got[src[1], src[0]] == 0.0
+
+    def test_matches_sweep_on_second_wave_potential(self, c_annulus_mask):
+        # The centerline's second wave, checked on the annulus' bounding box
+        # (the rest of the grid is off the domain and must stay +inf).
+        dist = euclidean_distance_map(c_annulus_mask)
+        pot = np.ones(dist.shape)
+        pot[c_annulus_mask] = (dist.max() / dist[c_annulus_mask]) ** 6
+        ys, xs = np.nonzero(c_annulus_mask)
+        box = np.s_[ys.min() : ys.max() + 1, xs.min() : xs.max() + 1]
+        src = (int(xs[0]), int(ys[0]))
+        got = fast_march(pot, c_annulus_mask, src).values
+        outside = np.ones(got.shape, dtype=bool)
+        outside[box] = False
+        assert np.isinf(got[outside]).all()
+        local = assert_matches_sweep(pot[box], c_annulus_mask[box], (src[0] - xs.min(), src[1] - ys.min()))
+        assert np.array_equal(got[box], local)
+
     def test_causality_bounds_unit_potential(self):
         domain = np.ones((32, 32), dtype=bool)
         sx, sy = 5, 9
@@ -112,6 +173,30 @@ class TestArgmaxField:
         field = ArrivalField(values=np.full((2, 2), np.inf), source=(0, 0))
         with pytest.raises(ValidationError):
             argmax_field(field)
+
+
+# Arrival values that are not a 2D field of non-negative numbers.
+BAD_VALUES = {
+    "1d": np.array([0.0, 1.0, 2.0]),
+    "nan": np.array([[0.0, np.nan], [1.0, 2.0]]),
+    "negative": np.array([[0.0, -1.0], [1.0, 2.0]]),
+    "ragged": [[0.0, 1.0], [2.0]],
+}
+
+
+@pytest.mark.parametrize("name", list(BAD_VALUES))
+def test_malformed_field_values_rejected(name):
+    field = ArrivalField(values=BAD_VALUES[name], source=(0, 0))
+    with pytest.raises(ValidationError):
+        argmax_field(field)
+    with pytest.raises(ValidationError):
+        descend(field, (1, 0))
+
+
+def test_plain_list_values_accepted():
+    field = ArrivalField(values=[[0.0, 1.0, 2.0]], source=(0, 0))
+    assert argmax_field(field) == (2, 0)
+    assert descend(field, (2, 0)) == [(2, 0), (1, 0), (0, 0)]
 
 
 class TestDescend:

@@ -93,6 +93,10 @@ EXPECTED = {
     ("blob48_24", 2): "b501ab078eb4098cef6f359b0bec12b0f6ba04e4c14c3cf44599125b260ea949",
     ("blob48_24", 5): "10702ea869e2e04aa7a006915e954f0d58edd5cbdf8c110aa68ea3237c59f9ec",
     ("blob48_24", 8): "3a5b3ea762a2c11f141c33d1645b3dfdc1bac597a197843b39dc9826a52b106a",
+    ("strip_48x384", 4): "c21bf94296d5f5fc1374cc2cb1f4f60e29585d0f34f89af125b7cfec2669d233",
+    ("strip_40x448", 4): "24f6a7b106e25e298c05fe61d4474dca6aa04752a45476dc04a7a3a61d185798",
+    ("strip_56x320", 4): "799be81ef7225b42e5011af0761de9f66a264a01b39e7f57a1bf3f904df41bcf",
+    ("strip_64x512", 4): "dc6bdcc1bf2516cb854463dbb28b15efa1d6e8f84ba5803dd24c9e0963f8f3da",
 }
 
 
@@ -101,6 +105,9 @@ def _mask(name: str) -> np.ndarray:
         return np.ones((16, 64), dtype=bool)
     if name == "c_annulus":
         return make_c_annulus()
+    if name.startswith("strip_"):  # filled, named height x width as in the bench corpus
+        h, w = map(int, name.removeprefix("strip_").split("x"))
+        return np.ones((h, w), dtype=bool)
     return make_blob(int(name.removeprefix("blob48_")))
 
 
