@@ -9,6 +9,7 @@ identity on bytes.
 from __future__ import annotations
 
 import json
+import re
 from dataclasses import dataclass
 
 import numpy as np
@@ -16,112 +17,82 @@ import numpy as np
 from .exceptions import PGMParseError, ValidationError
 from .validation import MAX_VOXELS, check_labelmap, check_mask, check_scalar_field
 
-_WHITESPACE = b" \t\n\r\x0b\x0c"
-_HASH = 0x23
+# A token is a run of bytes that are neither whitespace nor ``#``; a ``#``
+# opens a comment that runs to the end of the line. Each match skips the
+# whitespace and comments before one token, which is empty only at the end.
+_TOKEN = re.compile(rb"(?:[ \t\n\r\x0b\x0c]|#[^\n]*)*([^ \t\n\r\x0b\x0c#]*)")
+_COMMENT = re.compile(rb"#[^\n]*")
 
 
-class _Scanner:
-    """Tokenizer over graymap bytes that tracks offsets for error reports."""
+def _token(tok: re.Match, what: str) -> bytes:
+    if not tok[1]:
+        raise PGMParseError(f"unexpected end of file while reading {what}", offset=tok.start(1))
+    return tok[1]
 
-    def __init__(self, data: bytes):
-        self.data = data
-        self.pos = 0
 
-    def skip_space(self) -> None:
-        data = self.data
-        n = len(data)
-        while self.pos < n:
-            c = data[self.pos]
-            if c in _WHITESPACE:
-                self.pos += 1
-            elif c == _HASH:
-                while self.pos < n and data[self.pos] != 0x0A:
-                    self.pos += 1
-            else:
-                break
-
-    def token(self, what: str) -> tuple[bytes, int]:
-        self.skip_space()
-        data = self.data
-        n = len(data)
-        if self.pos >= n:
-            raise PGMParseError(f"unexpected end of file while reading {what}", offset=self.pos)
-        start = self.pos
-        while self.pos < n and data[self.pos] not in _WHITESPACE and data[self.pos] != _HASH:
-            self.pos += 1
-        return data[start : self.pos], start
-
-    def int_token(self, what: str, lo: int, hi: int) -> int:
-        tok, off = self.token(what)
-        try:
-            value = int(tok)
-        except ValueError:
-            raise PGMParseError(f"expected an integer for {what}, got {tok[:20]!r}", offset=off) from None
-        if not lo <= value <= hi:
-            raise PGMParseError(f"{what} {value} outside allowed range {lo}..{hi}", offset=off)
-        return value
+def _int_token(tok: re.Match, what: str, lo: int, hi: int) -> int:
+    text, off = _token(tok, what), tok.start(1)
+    try:
+        value = int(text)
+    except ValueError:
+        raise PGMParseError(f"expected an integer for {what}, got {text[:20]!r}", offset=off) from None
+    if not lo <= value <= hi:
+        raise PGMParseError(f"{what} {value} outside allowed range {lo}..{hi}", offset=off)
+    return value
 
 
 def _parse_pgm(data: bytes) -> tuple[int, int, int, np.ndarray]:
-    sc = _Scanner(data)
-    magic, off = sc.token("magic number")
+    tokens = _TOKEN.finditer(data)
+    tok = next(tokens)
+    magic, off = _token(tok, "magic number"), tok.start(1)
     if magic not in (b"P2", b"P5"):
         raise PGMParseError(f"unsupported magic {magic[:10]!r}, expected P2 or P5", offset=off)
-    width = sc.int_token("width", 1, MAX_VOXELS)
-    height = sc.int_token("height", 1, MAX_VOXELS)
+    width = _int_token(next(tokens), "width", 1, MAX_VOXELS)
+    height = _int_token(next(tokens), "height", 1, MAX_VOXELS)
     if width * height > MAX_VOXELS:
         raise PGMParseError(
             f"image of {width}x{height} voxels exceeds the cap of {MAX_VOXELS}", offset=off
         )
-    maxval = sc.int_token("maxval", 1, 65535)
+    tok = next(tokens)
+    maxval = _int_token(tok, "maxval", 1, 65535)
+    pos = tok.end()
     count = width * height
 
     if magic == b"P2":
-        samples = _split_p2_samples(data, sc.pos, count, maxval)
-        if samples is None:  # rescan token by token for the exact error and its offset
-            samples = np.empty(count, dtype=np.int32)
-            for i in range(count):
-                samples[i] = sc.int_token("sample", 0, maxval)
+        # Without comments, the raster's tokens are what bytes.split yields:
+        # it splits on the same six whitespace bytes.
+        raster = data[pos:]
+        if b"#" in raster:
+            raster = _COMMENT.sub(b" ", raster)
+        try:
+            samples = np.array(list(map(int, raster.split(None, count)[:count])), dtype=np.int64)
+            valid = samples.size == count and 0 <= samples.min() and samples.max() <= maxval
+        except (ValueError, OverflowError):
+            valid = False
+        if not valid:  # name the first bad sample at its offset
+            for _, tok in zip(range(count), tokens):
+                _int_token(tok, "sample", 0, maxval)
+        samples = samples.astype(np.int32)
     else:
-        if sc.pos >= len(data) or data[sc.pos] not in _WHITESPACE:
-            raise PGMParseError("expected a single whitespace byte after maxval", offset=sc.pos)
-        sc.pos += 1
+        if pos >= len(data) or data[pos] not in b" \t\n\r\x0b\x0c":
+            raise PGMParseError("expected a single whitespace byte after maxval", offset=pos)
+        pos += 1
         bpp = 1 if maxval < 256 else 2
         need = count * bpp
-        if len(data) - sc.pos < need:
+        if len(data) - pos < need:
             raise PGMParseError(
-                f"truncated raster: need {need} bytes, found {len(data) - sc.pos}",
+                f"truncated raster: need {need} bytes, found {len(data) - pos}",
                 offset=len(data),
             )
         dtype = np.dtype(">u2") if bpp == 2 else np.dtype("u1")
-        samples = np.frombuffer(data, dtype=dtype, count=count, offset=sc.pos).astype(np.int32)
+        samples = np.frombuffer(data, dtype=dtype, count=count, offset=pos).astype(np.int32)
         bad = np.flatnonzero(samples > maxval)
         if bad.size:
             raise PGMParseError(
                 f"sample {int(samples[bad[0]])} exceeds maxval {maxval}",
-                offset=sc.pos + int(bad[0]) * bpp,
+                offset=pos + int(bad[0]) * bpp,
             )
     return width, height, maxval, samples
-
-
-def _split_p2_samples(data: bytes, pos: int, count: int, maxval: int) -> np.ndarray | None:
-    """The first ``count`` P2 samples from ``pos`` on, or None when they need the scanner.
-
-    Without a comment, the raster's tokens are exactly what ``bytes.split``
-    yields, since it splits on the same six whitespace bytes.
-    """
-    if data.find(b"#", pos) >= 0:
-        return None
-    tokens = data[pos:].split(None, count)[:count]
-    if len(tokens) < count:
-        return None
-    try:
-        values = np.array(list(map(int, tokens)), dtype=np.int64)
-    except (ValueError, OverflowError):
-        return None
-    if values.size and (values.min() < 0 or values.max() > maxval):
-        return None
-    return values.astype(np.int32)
 
 
 def read_mask(data: bytes) -> np.ndarray:
@@ -189,9 +160,10 @@ def read_field_csv(data: bytes) -> np.ndarray:
     if any(len(row) != len(rows[0]) for row in rows):
         raise ValidationError("field rows differ in length")
     try:
-        return np.array([[float(cell) for cell in row] for row in rows], dtype=np.float64)
+        field = np.array([[float(cell) for cell in row] for row in rows], dtype=np.float64)
     except ValueError:
         raise ValidationError("field file holds a value that is not a number") from None
+    return check_scalar_field(field)
 
 
 @dataclass(frozen=True)

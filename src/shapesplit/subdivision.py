@@ -14,6 +14,7 @@ sufficient.
 
 from __future__ import annotations
 
+from itertools import islice
 from typing import NamedTuple
 
 import numpy as np
@@ -22,6 +23,7 @@ from .centerline import DEFAULT_EXPONENT, CenterlineResult, _extract_full
 from .exceptions import BalanceError, CutError, ValidationError
 from .grid import connected_components, is_connected
 from .validation import (
+    _as_int,
     check_coord,
     check_labelmap,
     check_mask,
@@ -40,14 +42,9 @@ class Cut(NamedTuple):
 
 
 def _tangent(pts: list[tuple[int, int]], i: int) -> tuple[int, int]:
-    """``normal_at`` on a path that ``check_path`` has already validated."""
-    n = len(pts)
-    if not 1 <= i <= n - 2:
-        raise ValidationError(f"index {i} needs two path neighbors (valid range 1..{n - 2})")
+    """``normal_at`` on a path and interior index that are already validated."""
     dx = pts[i + 1][0] - pts[i - 1][0]
     dy = pts[i + 1][1] - pts[i - 1][1]
-    if dx == 0 and dy == 0:
-        raise ValidationError(f"degenerate tangent at path index {i}")
     return dx, dy
 
 
@@ -59,7 +56,14 @@ def normal_at(path, i: int) -> tuple[int, int]:
     consists of the voxels whose offset from the anchor is orthogonal to
     this vector.
     """
-    return _tangent(check_path(path), i)
+    pts = check_path(path)
+    try:
+        i = _as_int(i)
+    except (TypeError, ValueError, OverflowError):
+        raise ValidationError(f"path index must be an integer, got {i!r}") from None
+    if not 1 <= i <= len(pts) - 2:
+        raise ValidationError(f"index {i} needs two path neighbors (valid range 1..{len(pts) - 2})")
+    return _tangent(pts, i)
 
 
 def sample_cut_points(path, k: int) -> list[Cut]:
@@ -138,7 +142,9 @@ def subdivide(mask, path, plan: list[Cut]) -> np.ndarray:
     cut band, the 4-connected component holding the earliest centerline
     voxel that is still unlabeled gets the next label; the band voxels join
     it (cut voxels belong to the earlier side). The remainder after the
-    last cut gets the final label.
+    last cut gets the final label. ``plan`` holds ``(index, anchor, normal)``
+    triples, as ``sample_cut_points`` returns them, whose path indices
+    increase strictly within ``1..L-2``.
 
     If a band fails to split the working mask, the anchor is shifted along
     the path by +-1, +-2, ... up to a quarter of the per-region path
@@ -153,9 +159,16 @@ def subdivide(mask, path, plan: list[Cut]) -> np.ndarray:
     for px, py in pts:
         if not (0 <= px < w and 0 <= py < h) or not m[py, px]:
             raise ValidationError(f"path voxel ({px}, {py}) lies outside the region")
-    for cut in plan:
-        if pts[cut.index] != tuple(cut.anchor):
-            raise ValidationError(f"cut anchor {cut.anchor} does not match path index {cut.index}")
+    try:
+        cuts = [(_as_int(index), tuple(anchor)) for index, anchor, _ in plan]
+    except (TypeError, ValueError, OverflowError):
+        raise ValidationError("plan entries must be (index, anchor, normal) with an integer index") from None
+    indices = [index for index, _ in cuts]
+    if indices and any(a >= b for a, b in zip([0, *indices], [*indices, len(pts) - 1])):
+        raise ValidationError(f"cut indices {indices} must increase strictly within 1..{len(pts) - 2}")
+    for index, anchor in cuts:
+        if pts[index] != anchor:
+            raise ValidationError(f"cut anchor {anchor} does not match path index {index}")
 
     # Cut on the region's bounding box, writing through to the full label
     # map: row-major order there is the grid's, so components number alike.
@@ -165,17 +178,17 @@ def subdivide(mask, path, plan: list[Cut]) -> np.ndarray:
     pts = [(px - x0, py - y0) for px, py in pts]
     path_x, path_y = np.array(pts).T
     length = len(pts)
-    k = len(plan) + 1
+    k = len(cuts) + 1
     max_shift = length // (4 * k)
     full = np.zeros((h, w), dtype=np.int32)
     labels = full[box]
     working = m[box].copy()
 
-    for j, cut in enumerate(plan, start=1):
+    for j, index in enumerate(indices, start=1):
         chosen = None
         fallback = None
         for shift in _shift_sequence(max_shift):
-            i = cut.index + shift
+            i = index + shift
             if not 1 <= i <= length - 2:
                 continue
             ax, ay = pts[i]
@@ -241,31 +254,36 @@ def _ring_groups(region: np.ndarray, x: int, y: int) -> int:
     return 1 if joins == 4 else sum(ring[0::2]) - joins
 
 
-def _stays_connected_without(region: np.ndarray, x: int, y: int) -> bool:
+def _stays_connected_without(region: np.ndarray, x: int, y: int, holes: bool) -> bool:
     """Would removing voxel (x, y) keep the region 4-connected and nonempty?
 
     It does iff the voxel's in-region 4-neighbors reach each other without
-    it: at once when they form one ring group (see ``_ring_groups``),
-    otherwise only if the 4-connected region stays one piece without it.
+    it: at once when they form one ring group (see ``_ring_groups``). Of
+    several groups, those of a region without holes (``holes`` as
+    ``_has_holes`` gives it) never meet, since a path between two would close
+    a loop around the background corner between them; otherwise only the
+    4-connected region without the voxel can tell.
     """
     groups = _ring_groups(region, x, y)
-    if groups <= 1:
-        return groups == 1  # no neighbor: sole voxel of its region
+    if groups <= 1 or not holes:
+        return groups == 1  # zero groups: the sole voxel of its region
     rest = region.copy()
     rest[y, x] = False
     return is_connected(rest)
 
 
-def _removal_test(region: np.ndarray):
-    """``_stays_connected_without`` for ``region``, without its search if it can.
+def _removable(region: np.ndarray, cand):
+    """The voxels of ``cand``, as (y, x), that can leave ``region`` in turn.
 
-    In a region without holes (see ``_has_holes``) the ring decides alone: a
-    path between two ring groups would close a loop around the background
-    corner between them.
+    Each is tested against the region that the earlier removals left, and
+    cleared from ``region`` as it is yielded. The hole test is read once: a
+    removal that opens a hole needs a fresh scan.
     """
-    if _has_holes(region):
-        return _stays_connected_without
-    return lambda region, x, y: _ring_groups(region, x, y) == 1
+    holes = _has_holes(region)
+    for y, x in cand:
+        if region[y, x] and _stays_connected_without(region, x, y, holes):
+            region[y, x] = False
+            yield y, x
 
 
 def _near4(region: np.ndarray) -> np.ndarray:
@@ -310,34 +328,20 @@ def _strip_move(lab, areas, give: int, take: int, limit: int, arrival) -> int:
     arrival value, row-major on ties): repeated transfers across the same
     border then dent its middle instead of marching along the region's
     boundary rim, which keeps the moves shape preserving. Every move keeps
-    the donor 4-connected and nonempty. Returns the number of voxels moved.
+    the donor 4-connected and nonempty; every moved voxel borders the
+    receiver, so it joins background the donor already touches and opens no
+    hole. Returns the number of voxels moved.
     """
     if limit <= 0:
         return 0
     cand = _border_candidates(lab, give, take)
     cand.sort(key=lambda yx: arrival[yx])  # stable: ties stay row-major
-    moved = 0
-    donor_region = lab == give
-    # Every moved voxel borders the receiver, so it joins background the
-    # donor already touches: a donor without holes keeps none.
-    keeps = _removal_test(donor_region)
-    for y, x in cand:
-        if moved >= limit or areas[give] <= 1:
-            break
-        if keeps(donor_region, x, y):
-            lab[y, x] = take
-            donor_region[y, x] = False
-            areas[give] -= 1
-            areas[take] += 1
-            moved += 1
-    return moved
-
-
-def _can_give(lab, give: int, take: int) -> bool:
-    """Whether ``give`` can hand ``take`` a border voxel and stay 4-connected."""
-    region = lab == give
-    keeps = _removal_test(region)
-    return any(keeps(region, x, y) for y, x in _border_candidates(lab, give, take))
+    moved = list(islice(_removable(lab == give, cand), limit))
+    for yx in moved:
+        lab[yx] = take
+    areas[give] -= len(moved)
+    areas[take] += len(moved)
+    return len(moved)
 
 
 def _route_to_deficit(lab, areas, goals, k: int, dest: int) -> list[int] | None:
@@ -357,7 +361,7 @@ def _route_to_deficit(lab, areas, goals, k: int, dest: int) -> list[int] | None:
         cur = order[qi]
         qi += 1
         for nb in adjacency[cur]:
-            if nb in parent or not _can_give(lab, nb, cur):
+            if nb in parent or next(_removable(lab == nb, _border_candidates(lab, nb, cur)), None) is None:
                 continue
             parent[nb] = cur
             order.append(nb)
@@ -472,14 +476,10 @@ def balance_areas(labels, k: int, arrival) -> np.ndarray:
         cand = [(int(y), int(x)) for y, x in np.argwhere(region)]
         cand.sort(key=lambda yx: -arr[yx])  # stable: ties stay row-major
         for _ in range(leftover):
-            keeps = _removal_test(region)  # trimming an inner voxel opens a hole
-            for y, x in cand:
-                if region[y, x] and keeps(region, x, y):
-                    lab[y, x] = 0
-                    region[y, x] = False
-                    break
-            else:
+            yx = next(_removable(region, cand), None)  # a fresh scan: trimming can open a hole
+            if yx is None:
                 raise BalanceError(f"balance failed: cannot trim region {k} without disconnecting it")
+            lab[yx] = 0
 
     areas = np.bincount(lab.ravel(), minlength=k + 1).astype(np.int64)
     if not (areas[1 : k + 1] == target).all():

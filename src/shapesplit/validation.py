@@ -27,7 +27,7 @@ def _as_int(value) -> int:
     return out
 
 
-def check_dims(dims, max_voxels: int = MAX_VOXELS) -> tuple[int, int]:
+def check_dims(dims) -> tuple[int, int]:
     """Validate a ``(width, height)`` pair and return it as plain ints."""
     try:
         width, height = (_as_int(v) for v in dims)
@@ -35,14 +35,14 @@ def check_dims(dims, max_voxels: int = MAX_VOXELS) -> tuple[int, int]:
         raise ValidationError(f"dims must be a (width, height) pair of integers, got {dims!r}") from None
     if width < 1 or height < 1:
         raise ValidationError(f"grid dimensions must be >= 1, got {width}x{height}")
-    if width * height > max_voxels:
+    if width * height > MAX_VOXELS:
         raise ValidationError(
-            f"grid of {width}x{height} = {width * height} voxels exceeds the cap of {max_voxels}"
+            f"grid of {width}x{height} = {width * height} voxels exceeds the cap of {MAX_VOXELS}"
         )
     return width, height
 
 
-def check_mask(mask, require_nonempty: bool = False, max_voxels: int = MAX_VOXELS) -> np.ndarray:
+def check_mask(mask, require_nonempty: bool = False) -> np.ndarray:
     """Coerce ``mask`` to a 2D boolean array and enforce grid invariants.
 
     Nonzero entries of numeric input count as true. Boolean input is
@@ -52,7 +52,7 @@ def check_mask(mask, require_nonempty: bool = False, max_voxels: int = MAX_VOXEL
     if arr.ndim != 2:
         raise ValidationError(f"mask must be 2D, got {arr.ndim} dimension(s)")
     h, w = arr.shape
-    check_dims((w, h), max_voxels)
+    check_dims((w, h))
     if arr.dtype != np.bool_:
         arr = arr != 0
     if require_nonempty and not arr.any():
@@ -77,15 +77,13 @@ def check_scalar_field(field, shape=None) -> np.ndarray:
     return arr
 
 
-def check_labelmap(labels, shape=None) -> np.ndarray:
+def check_labelmap(labels) -> np.ndarray:
     """Coerce to a 2D array of non-negative integer labels (0 = background)."""
     arr = np.asarray(labels)
     if arr.ndim != 2:
         raise ValidationError(f"label map must be 2D, got {arr.ndim} dimension(s)")
     if arr.dtype.kind not in "iu":
         raise ValidationError(f"label map must have an integer dtype, got {arr.dtype}")
-    if shape is not None and arr.shape != tuple(shape):
-        raise ValidationError(f"label map shape {arr.shape} does not match expected {tuple(shape)}")
     if arr.size and int(arr.min()) < 0:
         raise ValidationError("label map contains negative labels")
     return arr.astype(np.int32, copy=False)

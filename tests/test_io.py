@@ -43,8 +43,8 @@ class TestReadMask:
         assert read_mask(data).tolist() == [[False, True], [True, False]]
 
     def test_raster_tokens_match_the_scanner(self):
-        # the comment-free fast path and the token scanner read alike, and
-        # a bad sample is reported at its own offset either way
+        # a raster reads alike with and without comments, and a bad sample
+        # is reported at its own offset either way
         mask = random_mask(3)
         plain = write_mask(mask)
         header_end = plain.index(b"\n", plain.index(b"\n", 3) + 1) + 1
@@ -88,6 +88,39 @@ class TestReadMask:
         with pytest.raises(PGMParseError) as exc:
             read_mask(b"P2\n1 1\n255\n")
         assert exc.value.offset is not None
+
+    @pytest.mark.parametrize(
+        "data, message, offset",
+        [
+            (b"", "unexpected end of file while reading magic number", 0),
+            (b"P2\n2 ", "unexpected end of file while reading height", 5),
+            (b"P2 # header comment without end", "unexpected end of file while reading width", 31),
+            (b"P2\n2 2\n255\n0 1 2\n", "unexpected end of file while reading sample", 17),
+            (b"P2\n2 2\n255\n0 1 2 # trailing comment", "unexpected end of file while reading sample", 35),
+            (b"P#2\n1 1\n1\n0\n", "unsupported magic b'P', expected P2 or P5", 0),
+            (b"P2\nx2 1\n1\n0 0\n", "expected an integer for width, got b'x2'", 3),
+            (b"P2\n0 1\n1\n\n", "width 0 outside allowed range 1..67108864", 3),
+            (b"P2\n1 -1\n1\n0\n", "height -1 outside allowed range 1..67108864", 5),
+            (b"P2\n65536 1025\n1\n", "image of 65536x1025 voxels exceeds the cap of 67108864", 0),
+            (b"P2\n1 1\n1.5\n0\n", "expected an integer for maxval, got b'1.5'", 7),
+            (b"P2\n1 1\n65536\n0\n", "maxval 65536 outside allowed range 1..65535", 7),
+            (b"P5\n1 1\n255#\x00", "expected a single whitespace byte after maxval", 10),
+            (b"P5\n1 1\n255", "expected a single whitespace byte after maxval", 10),
+            (b"P2\n3 1\n1\n0 2 x\n", "sample 2 outside allowed range 0..1", 11),
+            (b"P2\n2 1\n1\n0 99999999999999999999999\n", "sample 99999999999999999999999 outside allowed range 0..1", 11),
+            (b"P2\n2 1\n1\n0 \xff\n", "expected an integer for sample, got b'\\xff'", 11),
+        ],
+    )
+    def test_malformed_message_and_offset(self, data, message, offset):
+        with pytest.raises(PGMParseError) as exc:
+            read_labelmap(data)
+        assert str(exc.value) == f"{message} (byte offset {offset})"
+        assert exc.value.offset == offset
+
+    def test_hash_ends_a_token(self):
+        # a comment may start in the middle of a token, header or raster
+        assert read_labelmap(b"P2\n2#width\n1\n1#max\n1#s\n0\n").tolist() == [[1, 0]]
+        assert read_labelmap(b"P2\n3 1\n9\n1#c\n2 3").tolist() == [[1, 2, 3]]
 
     def test_roundtrip_generated_masks(self):
         for mask in (random_mask(0), random_mask(5), make_c_annulus(), make_blob(0)):
@@ -155,7 +188,7 @@ class TestFieldCsv:
         with pytest.raises(ValidationError):
             write_field_csv(np.array([[np.nan]]))
 
-    @pytest.mark.parametrize("data", [b"1,2\n3\n", b"1,x\n", b"1,\n", b"1,\xff\n"])
+    @pytest.mark.parametrize("data", [b"1,2\n3\n", b"1,x\n", b"1,\n", b"1,\xff\n", b"nan,1\n", b"-1,1\n"])
     def test_malformed_field_rejected(self, data):
         with pytest.raises(ValidationError):
             read_field_csv(data)

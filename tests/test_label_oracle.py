@@ -93,6 +93,30 @@ EXPECTED = {
     ("blob48_24", 2): "b501ab078eb4098cef6f359b0bec12b0f6ba04e4c14c3cf44599125b260ea949",
     ("blob48_24", 5): "10702ea869e2e04aa7a006915e954f0d58edd5cbdf8c110aa68ea3237c59f9ec",
     ("blob48_24", 8): "3a5b3ea762a2c11f141c33d1645b3dfdc1bac597a197843b39dc9826a52b106a",
+    ("blob96_0", 2): "c1c388f47560545f92750a8603e7d32dc549e3ca3a14f40c839c99962135bda5",
+    ("blob96_0", 5): "66224da1bfb9127372f29735cdf8182f353b38cb34ec3f2920779d4f745ba206",
+    ("blob96_0", 8): "CutError",
+    ("blob96_1", 2): "5eff8314accc3417b0b8c60c9a6690a48cda0d47a87a881d243f9f78b3330e4b",
+    ("blob96_1", 5): "282440e7d238fb4adfc7b1e7cad7ffd0175d417472ba1c4d2477634c0f1fbcdf",
+    ("blob96_1", 8): "1b0ba20dcdd7f994447e5058c351bad8de98c84168bc51d5be0c76e4c8da5070",
+    ("blob96_2", 2): "8df9833e8168ea4ac3e2c86686ade5a27f3d523e28d91194aac591eb2b1990b4",
+    ("blob96_2", 5): "e86d5ea68387a6bb2da06532a1bf71fa3f13822ba7cbafebc0047883a9609d78",
+    ("blob96_2", 8): "addb459652c4119fcab5d1c56123c5c1143fa535f6e6007de70688bd6de5280a",
+    ("blob96_3", 2): "b31ab40964943fec301e4ba5033ebd72625ccda3ac922f4ba4eb720d8a736759",
+    ("blob96_3", 5): "0776b9d997cae63d69edededb5199d3e06e52868e6d9b00af6ebea10eb904d36",
+    ("blob96_3", 8): "de72f31609e81928de7689453f5cb20ea2345c68dd0e93b4b652840155a3b371",
+    ("blob96_4", 2): "b775863926818af6be9a180fd5f5e32fe6d0c18b64dc16cd665482bf512e0287",
+    ("blob96_4", 5): "232c20e17fec17e26b5df19e54af6f7134aaf8a2a3eaf913870b110fb2341462",
+    ("blob96_4", 8): "091ff5f71266584d0a66513af6a19a5ff15ba4368d84a1e4190161020cc09ad8",
+    ("blob96_5", 2): "4eeeb0a4d0a701d9d6015df843d7f89e67a46a9b46129333c7b531e4efe43da0",
+    ("blob96_5", 5): "BalanceError",
+    ("blob96_5", 8): "c926fb5cb9d64e2230723ef6875d5429bec8648d35c3804f37ce96e466ccde16",
+    ("blob96_6", 2): "e0091b54aebbb06d365408652d4ef09c2b2ea94e55788719f27557c224cfb911",
+    ("blob96_6", 5): "0c5f6100a3009f69d862c7021119597b1d13227b73adc5f5930b1a657cc820ff",
+    ("blob96_6", 8): "d57d86705753dc59ab301d3aea4412c51f3cd6c921687f8b2ad83bf27f628cde",
+    ("blob96_7", 2): "BalanceError",
+    ("blob96_7", 5): "BalanceError",
+    ("blob96_7", 8): "BalanceError",
     ("strip_48x384", 4): "c21bf94296d5f5fc1374cc2cb1f4f60e29585d0f34f89af125b7cfec2669d233",
     ("strip_40x448", 4): "24f6a7b106e25e298c05fe61d4474dca6aa04752a45476dc04a7a3a61d185798",
     ("strip_56x320", 4): "799be81ef7225b42e5011af0761de9f66a264a01b39e7f57a1bf3f904df41bcf",
@@ -108,7 +132,8 @@ def _mask(name: str) -> np.ndarray:
     if name.startswith("strip_"):  # filled, named height x width as in the bench corpus
         h, w = map(int, name.removeprefix("strip_").split("x"))
         return np.ones((h, w), dtype=bool)
-    return make_blob(int(name.removeprefix("blob48_")))
+    size, seed = name.removeprefix("blob").split("_")
+    return make_blob(int(seed), size=int(size))
 
 
 @pytest.mark.parametrize("name, k", list(EXPECTED))

@@ -3,6 +3,7 @@ import pytest
 
 from shapesplit import (
     BalanceError,
+    Cut,
     CutError,
     ValidationError,
     balance_areas,
@@ -15,7 +16,7 @@ from shapesplit import (
     subdivide_equal,
 )
 from shapesplit.eikonal import ArrivalField
-from shapesplit.subdivision import _has_holes, _removal_test, _stays_connected_without
+from shapesplit.subdivision import _has_holes, _removable, _stays_connected_without
 
 from conftest import make_blob
 from oracles import flood_fill_components
@@ -44,6 +45,15 @@ class TestNormalAt:
     def test_bad_path_rejected(self):
         with pytest.raises(ValidationError):
             normal_at([(0, 0), (5, 5), (6, 5)], 1)
+
+    @pytest.mark.parametrize("i", [1.5, True, "1", None])
+    def test_index_must_be_an_integer(self, i):
+        with pytest.raises(ValidationError):
+            normal_at(straight_path(5), i)
+
+    def test_integral_index_types_accepted(self):
+        assert normal_at(straight_path(5), np.int64(2)) == (2, 0)
+        assert normal_at(straight_path(5), 2.0) == (2, 0)
 
 
 class TestSampleCutPoints:
@@ -176,6 +186,37 @@ class TestSubdivide:
             subdivide(mask, [(0, 0), (1, 0)], [])
 
 
+class TestSubdividePlan:
+    # a 20-voxel centerline down the middle row of a 3x20 rectangle
+    mask = np.ones((3, 20), dtype=bool)
+    path = [(x, 1) for x in range(20)]
+
+    @pytest.mark.parametrize(
+        "plan",
+        [
+            [Cut(100, (0, 1), (2, 0))],
+            [Cut(-1, (19, 1), (2, 0))],
+            [Cut(0, (0, 1), (2, 0))],
+            [Cut(19, (19, 1), (2, 0))],
+            [Cut(12, (12, 1), (2, 0)), Cut(6, (6, 1), (2, 0))],
+            [Cut(6, (6, 1), (2, 0)), Cut(6, (6, 1), (2, 0))],
+            [Cut(6.5, (6, 1), (2, 0))],
+            [Cut(True, (1, 1), (2, 0))],
+            [(6, (6, 1))],
+            [6],
+            [None],
+        ],
+    )
+    def test_bad_plan_rejected(self, plan):
+        with pytest.raises(ValidationError):
+            subdivide(self.mask, self.path, plan)
+
+    def test_plain_triples_accepted(self):
+        plan = sample_cut_points(self.path, 3)
+        plain = [tuple(cut) for cut in plan]
+        assert np.array_equal(subdivide(self.mask, self.path, plain), subdivide(self.mask, self.path, plan))
+
+
 class TestCutBandSeparation:
     @pytest.mark.parametrize("seed", range(6))
     def test_band_splits_convex_mask_in_two(self, seed):
@@ -303,7 +344,7 @@ class TestStaysConnectedWithout:
     @pytest.mark.parametrize("seed", range(3))
     def test_matches_flood_fill_oracle(self, seed):
         # every voxel of every 4-component of small random masks, holes
-        # included, through the full test and the one picked for the region
+        # included, through the single test and through the scan
         rng = np.random.default_rng(seed)
         for _ in range(120):
             h, w = (int(v) for v in rng.integers(1, 10, size=2))
@@ -312,13 +353,44 @@ class TestStaysConnectedWithout:
             for c in range(1, count + 1):
                 region = comps == c
                 _, background = flood_fill_components(~np.pad(region, 1), 8)
-                assert _has_holes(region) == (background > 1)
+                holes = background > 1
+                assert _has_holes(region) == holes
                 for y, x in np.argwhere(region):
                     rest = region.copy()
                     rest[y, x] = False
                     truth = flood_fill_components(rest, 4)[1] == 1
-                    assert _stays_connected_without(region, int(x), int(y)) == truth
-                    assert _removal_test(region)(region, int(x), int(y)) == truth
+                    assert _stays_connected_without(region, int(x), int(y), holes) == truth
+                    scan = region.copy()
+                    assert list(_removable(scan, [(int(y), int(x))])) == ([(y, x)] if truth else [])
+                    assert np.array_equal(scan, rest if truth else region)
+
+    @pytest.mark.parametrize("seed", range(3))
+    def test_scan_removes_in_turn(self, seed):
+        # each candidate is tested against the region the earlier removals
+        # left; the scan's hole flag holds until a removal opens a hole
+        rng = np.random.default_rng(seed)
+        for _ in range(60):
+            h, w = (int(v) for v in rng.integers(2, 10, size=2))
+            mask = rng.random((h, w)) < rng.uniform(0.5, 0.95)
+            comps, _ = flood_fill_components(mask, 4)
+            region = comps == int(np.argmax(np.bincount(comps.ravel())[1:])) + 1
+            cand = [(int(y), int(x)) for y, x in rng.permutation(np.argwhere(region))]
+            holes = flood_fill_components(~np.pad(region, 1), 8)[1] > 1
+            scan = region.copy()
+            got = list(_removable(scan, cand))
+            left, want = region.copy(), []
+            for y, x in cand:
+                if not holes and flood_fill_components(~np.pad(left, 1), 8)[1] > 1:
+                    break
+                rest = left.copy()
+                rest[y, x] = False
+                if flood_fill_components(rest, 4)[1] == 1:
+                    want.append((y, x))
+                    left = rest
+            else:
+                assert got == want
+                assert np.array_equal(scan, left)
+            assert got[: len(want)] == want
 
     def test_loop_around_a_hole_needs_the_search(self):
         # the top middle voxel splits its two neighbors locally, yet the
@@ -326,8 +398,10 @@ class TestStaysConnectedWithout:
         ring = np.ones((3, 3), dtype=bool)
         ring[1, 1] = False
         assert _has_holes(ring)
-        assert _removal_test(ring)(ring, 1, 0)
-        assert not _removal_test(ring[:2])(ring[:2], 1, 0)
+        assert _stays_connected_without(ring, 1, 0, True)
+        assert not _stays_connected_without(ring[:2], 1, 0, False)
+        assert list(_removable(ring.copy(), [(0, 1)])) == [(0, 1)]
+        assert list(_removable(ring[:2].copy(), [(0, 1)])) == []
 
 
 class TestSubdivideEqual:
