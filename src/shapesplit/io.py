@@ -47,11 +47,11 @@ def _parse_pgm(data: bytes) -> tuple[int, int, int, np.ndarray]:
     magic, off = _token(tok, "magic number"), tok.start(1)
     if magic not in (b"P2", b"P5"):
         raise PGMParseError(f"unsupported magic {magic[:10]!r}, expected P2 or P5", offset=off)
-    width = _int_token(next(tokens), "width", 1, MAX_VOXELS)
+    width = _int_token(tok := next(tokens), "width", 1, MAX_VOXELS)
     height = _int_token(next(tokens), "height", 1, MAX_VOXELS)
     if width * height > MAX_VOXELS:
         raise PGMParseError(
-            f"image of {width}x{height} voxels exceeds the cap of {MAX_VOXELS}", offset=off
+            f"image of {width}x{height} voxels exceeds the cap of {MAX_VOXELS}", offset=tok.start(1)
         )
     tok = next(tokens)
     maxval = _int_token(tok, "maxval", 1, 65535)

@@ -5,7 +5,9 @@ centerline at evenly spaced path positions. Each cut severs the region;
 labeling walks the cuts in centerline order, assigning the piece behind
 every cut before moving on. A balancing pass then equalizes the region
 areas by exchanging border voxels, and trims the division remainder from
-the last region so that all areas come out exactly equal.
+the last region so that all areas come out exactly equal. It keeps the
+areas, Euler numbers, adjacency and boxes of the parts up to date voxel by
+voxel, so no exchange rescans the grid.
 
 Regions use 4-connectivity, paths and cut bands 8-connectivity; an
 8-connected band 4-separates the plane, which is what makes one-voxel cuts
@@ -144,7 +146,8 @@ def subdivide(mask, path, plan: list[Cut]) -> np.ndarray:
     it (cut voxels belong to the earlier side). The remainder after the
     last cut gets the final label. ``plan`` holds ``(index, anchor, normal)``
     triples, as ``sample_cut_points`` returns them, whose path indices
-    increase strictly within ``1..L-2``.
+    increase strictly within ``1..L-2`` and whose anchor and normal are the
+    path voxel and ``normal_at`` direction at that index.
 
     If a band fails to split the working mask, the anchor is shifted along
     the path by +-1, +-2, ... up to a quarter of the per-region path
@@ -160,16 +163,20 @@ def subdivide(mask, path, plan: list[Cut]) -> np.ndarray:
         if not (0 <= px < w and 0 <= py < h) or not m[py, px]:
             raise ValidationError(f"path voxel ({px}, {py}) lies outside the region")
     try:
-        cuts = [(_as_int(index), tuple(anchor)) for index, anchor, _ in plan]
+        cuts = [(_as_int(index), tuple(anchor), tuple(normal)) for index, anchor, normal in plan]
     except (TypeError, ValueError, OverflowError):
         raise ValidationError("plan entries must be (index, anchor, normal) with an integer index") from None
-    indices = [index for index, _ in cuts]
+    indices = [index for index, _, _ in cuts]
     if indices and any(a >= b for a, b in zip([0, *indices], [*indices, len(pts) - 1])):
         raise ValidationError(f"cut indices {indices} must increase strictly within 1..{len(pts) - 2}")
-    for index, anchor in cuts:
-        if pts[index] != anchor:
-            raise ValidationError(f"cut anchor {anchor} does not match path index {index}")
+    for index, anchor, normal in cuts:
+        if (anchor, normal) != (pts[index], _tangent(pts, index)):
+            raise ValidationError(f"cut anchor {anchor} and normal {normal} do not match path index {index}")
+    return _subdivide(m, pts, indices)
 
+
+def _subdivide(m: np.ndarray, pts: list[tuple[int, int]], indices: list[int]) -> np.ndarray:
+    """``subdivide`` on a one-region mask, a path in it, and cut indices, all validated."""
     # Cut on the region's bounding box, writing through to the full label
     # map: row-major order there is the grid's, so components number alike.
     ys, xs = np.nonzero(m)
@@ -178,9 +185,9 @@ def subdivide(mask, path, plan: list[Cut]) -> np.ndarray:
     pts = [(px - x0, py - y0) for px, py in pts]
     path_x, path_y = np.array(pts).T
     length = len(pts)
-    k = len(cuts) + 1
+    k = len(indices) + 1
     max_shift = length // (4 * k)
-    full = np.zeros((h, w), dtype=np.int32)
+    full = np.zeros(m.shape, dtype=np.int32)
     labels = full[box]
     working = m[box].copy()
 
@@ -228,100 +235,106 @@ def subdivide(mask, path, plan: list[Cut]) -> np.ndarray:
 _RING = ((0, -1), (1, -1), (1, 0), (1, 1), (0, 1), (-1, 1), (-1, 0), (-1, -1))
 
 
-def _has_holes(region: np.ndarray) -> bool:
-    """Whether the 4-connected ``region`` encloses background.
+def _ring_entry(pattern: int) -> tuple[int, int]:
+    """Ring groups of a voxel, and the change of its region's quad sum as it joins.
 
-    Gray's bit-quad count gives the 4-connectivity Euler number, components
-    minus holes, as (Q1 - Q3 + 2 QD) / 4 over the 2x2 windows of the padded
-    grid holding one, three, or two diagonal region voxels.
+    Bit i of ``pattern`` is set when ring position i is in the region. Two
+    in-region 4-neighbors share a group when the corner between them is in
+    the region too. Gray's bit-quad sum Q1 - Q3 + 2 QD, over the 2x2 windows
+    holding one, three or two diagonal region voxels, is four times the
+    4-connectivity Euler number; of it, only the voxel's four windows change.
+    Window i holds ring positions 2i, 2i+1 and 2i+2, the corner diagonal, and
+    changes by the entry at edge + 2 corner + 4 edge of (1, -1, 1, -1, -1, -3, -1, 1).
     """
-    p = np.pad(region, 1)
-    a, b, c, d = p[:-1, :-1], p[:-1, 1:], p[1:, :-1], p[1:, 1:]
-    n = a.astype(np.int8) + b + c + d
-    quads = int((n == 1).sum()) - int((n == 3).sum()) + 2 * int(((n == 2) & (a == d)).sum())
-    return quads != 4
+    r = [pattern >> i & 1 for i in (0, 1, 2, 3, 4, 5, 6, 7, 0)]
+    windows = [r[i : i + 3] for i in range(0, 8, 2)]
+    joins = sum(a & b & c for a, b, c in windows)
+    change = sum((1, -1, 1, -1, -1, -3, -1, 1)[a + 2 * b + 4 * c] for a, b, c in windows)
+    return (1 if joins == 4 else sum(r[0:8:2]) - joins), change
 
 
-def _ring_groups(region: np.ndarray, x: int, y: int) -> int:
-    """Groups the in-region 4-neighbors of voxel (x, y) form in its 3x3 ring.
+_RING_TABLE = [_ring_entry(pattern) for pattern in range(256)]
 
-    Two 4-neighbors share a group when the corner between them is in the
-    region too, which joins them without the voxel.
+
+class _Parts:
+    """The parts of one balancing call, updated per moved voxel.
+
+    ``lab`` is the labels' box padded with background, so a part voxel's
+    neighbors need no bounds checks, and ``flat`` its row-major list. Per
+    part: ``areas``, ``quads`` (the bit-quad sum of ``_ring_entry``, 4 iff no
+    holes) and ``boxes`` ([y0, y1, x0, x1], grown and never shrunk, so
+    covering the part). ``touch[a][b]`` counts 4-adjacent pairs labeled a, b.
     """
-    h, w = region.shape
-    ring = [0 <= x + dx < w and 0 <= y + dy < h and bool(region[y + dy, x + dx]) for dx, dy in _RING]
-    joins = sum(ring[i] and ring[i + 1] and ring[(i + 2) % 8] for i in range(0, 8, 2))
-    return 1 if joins == 4 else sum(ring[0::2]) - joins
+
+    def __init__(self, lab: np.ndarray, k: int):
+        self.lab, self.flat, self.width = lab, lab.ravel().tolist(), lab.shape[1]
+        self.ring = [(1 << i, dy * self.width + dx) for i, (dx, dy) in enumerate(_RING)]
+        self.areas = np.bincount(lab.ravel(), minlength=k + 1).tolist()
+        # A quad sum is what the voxels add joining their part in row-major order.
+        inner, (h, w) = lab[1:-1, 1:-1], lab.shape
+        before = [(i, dx, dy) for i, (dx, dy) in enumerate(_RING) if (dy, dx) < (0, 0)]
+        pattern = sum((lab[1 + dy : h - 1 + dy, 1 + dx : w - 1 + dx] == inner) << i for i, dx, dy in before)
+        quads = np.bincount(inner.ravel(), np.array(_RING_TABLE)[pattern, 1].ravel(), k + 1)
+        pairs = ((lab[:, :-1], lab[:, 1:]), (lab[:-1], lab[1:]))
+        touch = sum(np.bincount((a * (k + 1) + b).ravel(), minlength=(k + 1) ** 2) for a, b in pairs)
+        touch = touch.reshape(k + 1, k + 1)
+        self.quads, self.touch = quads.astype(int).tolist(), (touch + touch.T).tolist()
+        spans = [[np.flatnonzero((lab == j).any(axis)) for axis in (1, 0)] for j in range(k + 1)]
+        self.boxes = [[int(rows[0]), int(rows[-1]), int(cols[0]), int(cols[-1])] for rows, cols in spans]
+
+    def part(self, j: int) -> tuple[np.ndarray, int, int]:
+        """``(region, y0, x0)``: part ``j`` on its box, and the box's corner."""
+        y0, y1, x0, x1 = self.boxes[j]
+        return self.lab[y0 : y1 + 1, x0 : x1 + 1] == j, y0, x0
+
+    def pattern(self, i: int, j: int) -> int:
+        return sum(bit for bit, off in self.ring if self.flat[i + off] == j)
+
+    def border(self, give: int, take: int) -> list[tuple[int, int]]:
+        """Part ``give``'s voxels 4-adjacent to part ``take``, row-major as (y, x)."""
+        (gy0, gy1, gx0, gx1), (ty0, ty1, tx0, tx1) = self.boxes[give], self.boxes[take]
+        y0, y1, x0, x1 = max(gy0, ty0 - 1), min(gy1, ty1 + 1), max(gx0, tx0 - 1), min(gx1, tx1 + 1)
+        win = self.lab[y0 - 1 : y1 + 2, x0 - 1 : x1 + 2]
+        near = win == take
+        near = near[:-2, 1:-1] | near[2:, 1:-1] | near[1:-1, :-2] | near[1:-1, 2:]
+        ys, xs = np.nonzero((win[1:-1, 1:-1] == give) & near)
+        return list(zip((ys + y0).tolist(), (xs + x0).tolist()))
+
+    def move(self, y: int, x: int, take: int) -> None:
+        """Relabel part voxel (y, x) to ``take``; 0 trims it."""
+        i, flat, touch = y * self.width + x, self.flat, self.touch
+        for j, sign in ((flat[i], -1), (take, 1)):
+            self.areas[j] += sign
+            self.quads[j] += sign * _RING_TABLE[self.pattern(i, j)][1]
+            for v in [flat[i + off] for _, off in self.ring[::2]]:
+                touch[j][v] += sign
+                touch[v][j] += sign
+        flat[i] = self.lab[y, x] = take
+        box = self.boxes[take]
+        box[:] = min(box[0], y), max(box[1], y), min(box[2], x), max(box[3], x)
 
 
-def _stays_connected_without(region: np.ndarray, x: int, y: int, holes: bool) -> bool:
-    """Would removing voxel (x, y) keep the region 4-connected and nonempty?
+def _removable(parts: _Parts, j: int, cand):
+    """The voxels of ``cand``, as (y, x), that can leave part ``j`` in turn, keeping it 4-connected.
 
-    It does iff the voxel's in-region 4-neighbors reach each other without
-    it: at once when they form one ring group (see ``_ring_groups``). Of
-    several groups, those of a region without holes (``holes`` as
-    ``_has_holes`` gives it) never meet, since a path between two would close
-    a loop around the background corner between them; otherwise only the
-    4-connected region without the voxel can tell.
+    A voxel can iff its in-part 4-neighbors reach each other without it: at
+    once when they form one ring group (see ``_ring_entry``), never with no
+    group. Several groups of a part without holes never meet, as a path
+    between two would close a loop around the background corner between
+    them. Each voxel is tested against the part as it stands at its turn.
     """
-    groups = _ring_groups(region, x, y)
-    if groups <= 1 or not holes:
-        return groups == 1  # zero groups: the sole voxel of its region
-    rest = region.copy()
-    rest[y, x] = False
-    return is_connected(rest)
-
-
-def _removable(region: np.ndarray, cand):
-    """The voxels of ``cand``, as (y, x), that can leave ``region`` in turn.
-
-    Each is tested against the region that the earlier removals left, and
-    cleared from ``region`` as it is yielded. The hole test is read once: a
-    removal that opens a hole needs a fresh scan.
-    """
-    holes = _has_holes(region)
     for y, x in cand:
-        if region[y, x] and _stays_connected_without(region, x, y, holes):
-            region[y, x] = False
+        i = y * parts.width + x
+        groups = _RING_TABLE[parts.pattern(i, j)][0] if parts.flat[i] == j else 0
+        if groups > 1 and parts.quads[j] != 4:  # around a hole, the groups may meet
+            rest, y0, x0 = parts.part(j)
+            rest[y - y0, x - x0] = False
+            groups = 1 if is_connected(rest) else groups
+        if groups == 1:
             yield y, x
 
 
-def _near4(region: np.ndarray) -> np.ndarray:
-    """Voxels that have a 4-neighbor in ``region``."""
-    near = np.zeros_like(region)
-    near[:, :-1] |= region[:, 1:]
-    near[:, 1:] |= region[:, :-1]
-    near[:-1, :] |= region[1:, :]
-    near[1:, :] |= region[:-1, :]
-    return near
-
-
-def _adjacent_labels(labels: np.ndarray, lab: int) -> list[int]:
-    region = labels == lab
-    vals = np.unique(labels[_near4(region) & (labels > 0) & ~region])
-    return [int(v) for v in vals]
-
-
-def _label_adjacency(labels: np.ndarray, k: int) -> dict[int, list[int]]:
-    adj: dict[int, set[int]] = {j: set() for j in range(1, k + 1)}
-    for a, b in (
-        (labels[:, :-1], labels[:, 1:]),
-        (labels[:-1, :], labels[1:, :]),
-    ):
-        touching = (a != b) & (a > 0) & (b > 0)
-        for i, j in set(zip(a[touching].tolist(), b[touching].tolist())):
-            adj[i].add(j)
-            adj[j].add(i)
-    return {j: sorted(s) for j, s in adj.items()}
-
-
-def _border_candidates(labels: np.ndarray, donor: int, receiver: int) -> list[tuple[int, int]]:
-    """Donor voxels 4-adjacent to the receiver, in row-major order as (y, x)."""
-    near = _near4(labels == receiver)
-    return [(int(y), int(x)) for y, x in np.argwhere((labels == donor) & near)]
-
-
-def _strip_move(lab, areas, give: int, take: int, limit: int, arrival) -> int:
+def _strip_move(parts: _Parts, give: int, take: int, limit: int, arrival) -> int:
     """Move up to ``limit`` border voxels from ``give`` to ``take``.
 
     Works off one snapshot of the border, deepest voxels first (smallest
@@ -334,17 +347,15 @@ def _strip_move(lab, areas, give: int, take: int, limit: int, arrival) -> int:
     """
     if limit <= 0:
         return 0
-    cand = _border_candidates(lab, give, take)
+    cand = parts.border(give, take)
     cand.sort(key=lambda yx: arrival[yx])  # stable: ties stay row-major
-    moved = list(islice(_removable(lab == give, cand), limit))
-    for yx in moved:
-        lab[yx] = take
-    areas[give] -= len(moved)
-    areas[take] += len(moved)
-    return len(moved)
+    moved = 0
+    for moved, (y, x) in enumerate(islice(_removable(parts, give, cand), limit), 1):
+        parts.move(y, x, take)
+    return moved
 
 
-def _route_to_deficit(lab, areas, goals, k: int, dest: int) -> list[int] | None:
+def _route_to_deficit(parts: _Parts, goals, dest: int) -> list[int] | None:
     """Shortest chain from the nearest surplus region to ``dest``.
 
     Breadth-first search from the deficit over the region adjacency graph,
@@ -352,32 +363,21 @@ def _route_to_deficit(lab, areas, goals, k: int, dest: int) -> list[int] | None:
     voxel. Returns labels ordered donor..dest, or None when no surplus is
     reachable.
     """
-    adjacency = _label_adjacency(lab, k)
-    parent: dict[int, int | None] = {dest: None}
-    order = [dest]
-    qi = 0
-    donor = None
-    while qi < len(order) and donor is None:
-        cur = order[qi]
-        qi += 1
-        for nb in adjacency[cur]:
-            if nb in parent or next(_removable(lab == nb, _border_candidates(lab, nb, cur)), None) is None:
+    queue, seen = [[dest]], {dest}
+    for chain in queue:  # grows as the search goes
+        cur = chain[0]
+        for nb in [l for l, n in enumerate(parts.touch[cur]) if n and l not in (0, cur)]:
+            if nb in seen or next(_removable(parts, nb, parts.border(nb, cur)), None) is None:
                 continue
-            parent[nb] = cur
-            order.append(nb)
-            if areas[nb] > goals[nb]:
-                donor = nb
-                break
-    if donor is None:
-        return None
-    chain = [donor]
-    while parent[chain[-1]] is not None:
-        chain.append(parent[chain[-1]])
-    return chain
+            seen.add(nb)
+            queue.append([nb, *chain])
+            if parts.areas[nb] > goals[nb]:
+                return queue[-1]
+    return None
 
 
-def _area_report(areas: np.ndarray, k: int) -> str:
-    return ", ".join(f"{j}: {int(areas[j])}" for j in range(1, k + 1))
+def _area_report(areas: list[int], k: int) -> str:
+    return ", ".join(f"{j}: {areas[j]}" for j in range(1, k + 1))
 
 
 def balance_areas(labels, k: int, arrival) -> np.ndarray:
@@ -398,7 +398,8 @@ def balance_areas(labels, k: int, arrival) -> np.ndarray:
 
     Every region ends 4-connected with exactly T voxels. Raises
     BalanceError when no transfer route exists or the routed flow's
-    budget (200 k voxel moves) runs out.
+    budget (200 k voxel moves) runs out. The steps share one ``_Parts`` state
+    updated per moved voxel: areas, Euler numbers, adjacency counts, boxes.
     """
     k = check_positive_int(k, "k")
     lab = check_labelmap(labels).copy()
@@ -409,18 +410,18 @@ def balance_areas(labels, k: int, arrival) -> np.ndarray:
         raise ValidationError(f"label map must contain exactly labels 1..{k}")
     if not np.isfinite(arr[lab > 0]).all():
         raise ValidationError("arrival values must be finite on all labeled voxels")
-    # Work in place on the labels' bounding box: the voxels around it are
-    # background, as the grid's outside is, and row-major order is kept.
-    full = lab
-    ys, xs = np.nonzero(full)
+    # Work on the labels' bounding box padded with background, as the grid's
+    # outside is; row-major order is kept.
+    ys, xs = np.nonzero(lab)
     box = np.s_[ys.min() : ys.max() + 1, xs.min() : xs.max() + 1]
-    lab, arr = full[box], arr[box]
+    parts = _Parts(np.pad(lab[box], 1), k)
+    arr = np.pad(arr[box], 1)
     for j in range(1, k + 1):
-        if not is_connected(lab == j):
+        if not is_connected(parts.part(j)[0]):
             raise BalanceError(f"balance failed: region {j} is not 4-connected")
 
-    areas = np.bincount(lab.ravel(), minlength=k + 1).astype(np.int64)
-    total = int(areas[1:].sum())
+    areas = parts.areas
+    total = sum(areas[1:])
     target = total // k
     leftover = total % k
 
@@ -436,12 +437,12 @@ def balance_areas(labels, k: int, arrival) -> np.ndarray:
     for _ in range(10 * k):
         acted = False
         for donor in sorted(range(1, k + 1), key=lambda l: (-areas[l], l)):
-            neigh = _adjacent_labels(lab, donor)
+            neigh = [l for l, n in enumerate(parts.touch[donor]) if n and l not in (0, donor)]
             if not neigh:
                 continue
             recv = min(neigh, key=lambda l: (areas[l], l))
             quota = int(areas[donor] - areas[recv]) // 2
-            if _strip_move(lab, areas, donor, recv, quota, arr):
+            if _strip_move(parts, donor, recv, quota, arr):
                 acted = True
         if not acted:
             break
@@ -459,12 +460,12 @@ def balance_areas(labels, k: int, arrival) -> np.ndarray:
         if not deficits:
             break
         dest = deficits[0]
-        chain = _route_to_deficit(lab, areas, goals, k, dest) if moved < budget else None
+        chain = _route_to_deficit(parts, goals, dest) if moved < budget else None
         if chain is None:
             raise BalanceError(f"balance failed; region areas: {_area_report(areas, k)}")
         flow = min(int(areas[chain[0]] - goals[chain[0]]), int(goals[dest] - areas[dest]))
         for give, take in zip(chain, chain[1:]):
-            flow = _strip_move(lab, areas, give, take, min(flow, budget - moved), arr)
+            flow = _strip_move(parts, give, take, min(flow, budget - moved), arr)
             moved += flow
             if flow == 0:
                 break
@@ -472,22 +473,21 @@ def balance_areas(labels, k: int, arrival) -> np.ndarray:
     # Trim the remainder off region k, outermost (largest second wave arrival)
     # voxels first, rescanning one sorted list: a removal can free a voxel.
     if leftover:
-        region = lab == k
-        cand = [(int(y), int(x)) for y, x in np.argwhere(region)]
+        cand = [(int(y), int(x)) for y, x in np.argwhere(parts.lab == k)]
         cand.sort(key=lambda yx: -arr[yx])  # stable: ties stay row-major
         for _ in range(leftover):
-            yx = next(_removable(region, cand), None)  # a fresh scan: trimming can open a hole
+            yx = next(_removable(parts, k, cand), None)
             if yx is None:
                 raise BalanceError(f"balance failed: cannot trim region {k} without disconnecting it")
-            lab[yx] = 0
+            parts.move(*yx, 0)
 
-    areas = np.bincount(lab.ravel(), minlength=k + 1).astype(np.int64)
-    if not (areas[1 : k + 1] == target).all():
+    lab[box] = parts.lab[1:-1, 1:-1]
+    if any(areas[j] != target for j in range(1, k + 1)):
         raise BalanceError(f"balance failed; region areas: {_area_report(areas, k)}")
     for j in range(1, k + 1):
-        if not is_connected(lab == j):
+        if not is_connected(parts.part(j)[0]):
             raise BalanceError(f"balance failed: region {j} is not 4-connected")
-    return full
+    return lab
 
 
 def subdivide_equal(mask, k: int, exponent: float = DEFAULT_EXPONENT, balance: bool = True) -> np.ndarray:
@@ -506,7 +506,7 @@ def subdivide_equal(mask, k: int, exponent: float = DEFAULT_EXPONENT, balance: b
 def _cut_and_balance(mask: np.ndarray, centerline: CenterlineResult, k: int, balance: bool):
     """``(plan, labels)``: cuts planned along ``centerline``, applied to ``mask``, balanced if asked."""
     plan = sample_cut_points(centerline.path, k)
-    labels = subdivide(mask, centerline.path, plan)
+    labels = _subdivide(mask, centerline.path, [cut.index for cut in plan])
     if balance:
         labels = balance_areas(labels, k, centerline.second_wave)
     return plan, labels

@@ -2,8 +2,10 @@
 
 These deliberately share no code with shapesplit: the distance oracle is a
 direct minimum over all background voxels, the component oracle is a plain
-BFS flood fill, and the arrival-time oracle is a Gauss-Seidel sweeping
-iteration run to its fixed point.
+BFS flood fill, the Euler number counts flood-filled components and holes,
+the bit-quad sum and label adjacency are plain loops over the grid, and the
+arrival-time oracle is a Gauss-Seidel sweeping iteration run to its fixed
+point.
 """
 
 from __future__ import annotations
@@ -63,6 +65,48 @@ def flood_fill_components(mask, connectivity: int = 4) -> tuple[np.ndarray, int]
                         labels[py, px] = count
                         queue.append((px, py))
     return labels, count
+
+
+def euler_number(region) -> int:
+    """4-connectivity Euler number: 4-connected components minus holes.
+
+    A hole is an 8-connected background component that does not reach the
+    outside of the grid.
+    """
+    r = np.asarray(region, dtype=bool)
+    _, components = flood_fill_components(r, 4)
+    _, background = flood_fill_components(~np.pad(r, 1), 8)
+    return components - (background - 1)
+
+
+def bit_quad_sum(region) -> int:
+    """Gray's bit-quad sum over the 2x2 windows of the padded grid, window by window.
+
+    A window holding one region voxel adds 1, three subtract 1, and two on a
+    diagonal add 2; the sum is four times the 4-connectivity Euler number.
+    """
+    p = np.pad(np.asarray(region, dtype=bool), 1).astype(int).tolist()
+    total = 0
+    for y in range(len(p) - 1):
+        for x in range(len(p[0]) - 1):
+            a, b, c, d = p[y][x], p[y][x + 1], p[y + 1][x], p[y + 1][x + 1]
+            n = a + b + c + d
+            total += {1: 1, 3: -1}.get(n, 0) + (2 if n == 2 and a == d else 0)
+    return total
+
+
+def adjacent_label_pairs(labels) -> dict[tuple[int, int], int]:
+    """Count of 4-adjacent voxel pairs per label pair ``(a, b)``, ``a <= b``."""
+    lab = np.asarray(labels).tolist()
+    h, w = len(lab), len(lab[0])
+    pairs: dict[tuple[int, int], int] = {}
+    for y in range(h):
+        for x in range(w):
+            for py, px in ((y, x + 1), (y + 1, x)):
+                if py < h and px < w:
+                    key = tuple(sorted((lab[y][x], lab[py][px])))
+                    pairs[key] = pairs.get(key, 0) + 1
+    return pairs
 
 
 def sweep_arrival(potential, domain, source, max_rounds: int = 1000) -> np.ndarray:

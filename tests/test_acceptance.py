@@ -26,10 +26,9 @@ from shapesplit import (
     write_mask,
 )
 from shapesplit.cli import main
-from shapesplit.subdivision import _label_adjacency
 
 from conftest import annulus_radii, make_blob, random_mask
-from oracles import brute_force_distance_map, flood_fill_components, sweep_arrival
+from oracles import adjacent_label_pairs, brute_force_distance_map, flood_fill_components, sweep_arrival
 
 
 def report(num, name):
@@ -178,8 +177,8 @@ def test_criterion_6_c_annulus_reproduction(c_annulus_mask):
         assert connected(region), f"label {j}"
         assert touches(region, inner_bg), f"label {j} misses the inner cavity"
         assert touches(region, outer_bg), f"label {j} misses the outer background"
-    adj = _label_adjacency(labels, 16)
-    assert all(j + 1 in adj[j] for j in range(1, 16))
+    pairs = adjacent_label_pairs(labels)
+    assert all((j, j + 1) in pairs for j in range(1, 16))
     assert elapsed < 5.0, f"pipeline took {elapsed:.3f}s"
     report(6, f"C annulus -> 16 equal parts of {target} voxels, {trimmed} trimmed")
 

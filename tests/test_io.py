@@ -101,7 +101,7 @@ class TestReadMask:
             (b"P2\nx2 1\n1\n0 0\n", "expected an integer for width, got b'x2'", 3),
             (b"P2\n0 1\n1\n\n", "width 0 outside allowed range 1..67108864", 3),
             (b"P2\n1 -1\n1\n0\n", "height -1 outside allowed range 1..67108864", 5),
-            (b"P2\n65536 1025\n1\n", "image of 65536x1025 voxels exceeds the cap of 67108864", 0),
+            (b"P2\n65536 1025\n1\n", "image of 65536x1025 voxels exceeds the cap of 67108864", 3),
             (b"P2\n1 1\n1.5\n0\n", "expected an integer for maxval, got b'1.5'", 7),
             (b"P2\n1 1\n65536\n0\n", "maxval 65536 outside allowed range 1..65535", 7),
             (b"P5\n1 1\n255#\x00", "expected a single whitespace byte after maxval", 10),

@@ -16,10 +16,10 @@ from shapesplit import (
     subdivide_equal,
 )
 from shapesplit.eikonal import ArrivalField
-from shapesplit.subdivision import _has_holes, _removable, _stays_connected_without
+from shapesplit.subdivision import _RING, _RING_TABLE, _Parts, _removable
 
 from conftest import make_blob
-from oracles import flood_fill_components
+from oracles import adjacent_label_pairs, bit_quad_sum, euler_number, flood_fill_components
 
 
 def straight_path(n):
@@ -211,6 +211,13 @@ class TestSubdividePlan:
         with pytest.raises(ValidationError):
             subdivide(self.mask, self.path, plan)
 
+    def test_normal_must_match_the_path(self):
+        # the straight path's direction at every interior index is (2, 0)
+        assert subdivide(self.mask, self.path, [Cut(6, (6, 1), (2, 0))]).max() == 2
+        for normal in ((0, 5), (4, 0), "junk", (2, 0, 0), None):
+            with pytest.raises(ValidationError):
+                subdivide(self.mask, self.path, [Cut(6, (6, 1), normal)])
+
     def test_plain_triples_accepted(self):
         plan = sample_cut_points(self.path, 3)
         plain = [tuple(cut) for cut in plan]
@@ -340,11 +347,16 @@ class TestBalanceAreas:
         assert out[0, 8] == 0  # largest x + y in region 2
 
 
+def one_part(region):
+    """``region`` as part 1 of a balancing state, on its grid padded by one voxel."""
+    return _Parts(np.pad(region, 1).astype(np.int32), 1)
+
+
 class TestStaysConnectedWithout:
     @pytest.mark.parametrize("seed", range(3))
     def test_matches_flood_fill_oracle(self, seed):
         # every voxel of every 4-component of small random masks, holes
-        # included, through the single test and through the scan
+        # included, probed one at a time through the removal scan
         rng = np.random.default_rng(seed)
         for _ in range(120):
             h, w = (int(v) for v in rng.integers(1, 10, size=2))
@@ -353,55 +365,123 @@ class TestStaysConnectedWithout:
             for c in range(1, count + 1):
                 region = comps == c
                 _, background = flood_fill_components(~np.pad(region, 1), 8)
-                holes = background > 1
-                assert _has_holes(region) == holes
+                parts = one_part(region)
+                assert (parts.quads[1] != 4) == (background > 1)
                 for y, x in np.argwhere(region):
                     rest = region.copy()
                     rest[y, x] = False
                     truth = flood_fill_components(rest, 4)[1] == 1
-                    assert _stays_connected_without(region, int(x), int(y), holes) == truth
-                    scan = region.copy()
-                    assert list(_removable(scan, [(int(y), int(x))])) == ([(y, x)] if truth else [])
-                    assert np.array_equal(scan, rest if truth else region)
+                    yx = (int(y) + 1, int(x) + 1)
+                    assert list(_removable(parts, 1, [yx])) == ([yx] if truth else [])
+                assert np.array_equal(parts.lab[1:-1, 1:-1] == 1, region)  # probes move nothing
 
     @pytest.mark.parametrize("seed", range(3))
     def test_scan_removes_in_turn(self, seed):
-        # each candidate is tested against the region the earlier removals
-        # left; the scan's hole flag holds until a removal opens a hole
+        # each candidate is tested against the part the earlier removals
+        # left, holes they open included
         rng = np.random.default_rng(seed)
         for _ in range(60):
             h, w = (int(v) for v in rng.integers(2, 10, size=2))
             mask = rng.random((h, w)) < rng.uniform(0.5, 0.95)
             comps, _ = flood_fill_components(mask, 4)
-            region = comps == int(np.argmax(np.bincount(comps.ravel())[1:])) + 1
+            region = np.pad(comps == int(np.argmax(np.bincount(comps.ravel())[1:])) + 1, 1)
             cand = [(int(y), int(x)) for y, x in rng.permutation(np.argwhere(region))]
-            holes = flood_fill_components(~np.pad(region, 1), 8)[1] > 1
-            scan = region.copy()
-            got = list(_removable(scan, cand))
+            parts = _Parts(region.astype(np.int32), 1)
+            got = []
+            for y, x in _removable(parts, 1, cand):
+                parts.move(y, x, 0)
+                got.append((y, x))
             left, want = region.copy(), []
             for y, x in cand:
-                if not holes and flood_fill_components(~np.pad(left, 1), 8)[1] > 1:
-                    break
                 rest = left.copy()
                 rest[y, x] = False
                 if flood_fill_components(rest, 4)[1] == 1:
                     want.append((y, x))
                     left = rest
-            else:
-                assert got == want
-                assert np.array_equal(scan, left)
-            assert got[: len(want)] == want
+            assert got == want
+            assert np.array_equal(parts.lab == 1, left)
 
     def test_loop_around_a_hole_needs_the_search(self):
         # the top middle voxel splits its two neighbors locally, yet the
         # ring joins them the long way round
         ring = np.ones((3, 3), dtype=bool)
         ring[1, 1] = False
-        assert _has_holes(ring)
-        assert _stays_connected_without(ring, 1, 0, True)
-        assert not _stays_connected_without(ring[:2], 1, 0, False)
-        assert list(_removable(ring.copy(), [(0, 1)])) == [(0, 1)]
-        assert list(_removable(ring[:2].copy(), [(0, 1)])) == []
+        assert one_part(ring).quads[1] != 4
+        assert list(_removable(one_part(ring), 1, [(1, 2)])) == [(1, 2)]
+        assert list(_removable(one_part(ring[:2]), 1, [(1, 2)])) == []
+
+
+def ring_patch(pattern: int, centre: bool) -> np.ndarray:
+    """A 3x3 patch whose ring holds ``pattern`` (bit i at ring position i)."""
+    patch = np.zeros((3, 3), dtype=bool)
+    for i, (dx, dy) in enumerate(_RING):
+        patch[1 + dy, 1 + dx] = bool(pattern >> i & 1)
+    patch[1, 1] = centre
+    return patch
+
+
+class TestRingTable:
+    def test_groups_are_the_four_neighbors_components_without_the_voxel(self):
+        for pattern in range(256):
+            comps, _ = flood_fill_components(ring_patch(pattern, False), 4)
+            groups = {int(comps[1 + dy, 1 + dx]) for dx, dy in _RING[0::2]} - {0}
+            assert _RING_TABLE[pattern][0] == len(groups), pattern
+
+    def test_quad_change_matches_the_bit_quad_scan(self):
+        for pattern in range(256):
+            off, on = ring_patch(pattern, False), ring_patch(pattern, True)
+            assert bit_quad_sum(on) == 4 * euler_number(on)
+            assert bit_quad_sum(off) == 4 * euler_number(off)
+            assert _RING_TABLE[pattern][1] == bit_quad_sum(on) - bit_quad_sum(off), pattern
+
+
+def assert_state_exact(parts: _Parts, k: int) -> None:
+    """The state equals a recount from scratch, and every box covers its part."""
+    lab = parts.lab
+    assert parts.flat == lab.ravel().tolist()
+    assert parts.areas == np.bincount(lab.ravel(), minlength=k + 1).tolist()
+    touch = np.zeros((k + 1, k + 1), dtype=np.int64)
+    for (a, b), n in adjacent_label_pairs(lab).items():
+        touch[a, b] += n
+        touch[b, a] += n
+    assert parts.touch == touch.tolist()
+    for j in range(1, k + 1):
+        region = lab == j
+        assert parts.quads[j] == bit_quad_sum(region)
+        if region.any():
+            ys, xs = np.nonzero(region)
+            y0, y1, x0, x1 = parts.boxes[j]
+            assert y0 <= ys.min() and ys.max() <= y1 and x0 <= xs.min() and xs.max() <= x1
+        for other in range(1, k + 1):
+            near = np.zeros_like(region)
+            near[1:-1, 1:-1] = (lab[:-2, 1:-1] == other) | (lab[2:, 1:-1] == other)
+            near[1:-1, 1:-1] |= (lab[1:-1, :-2] == other) | (lab[1:-1, 2:] == other)
+            want = [(int(y), int(x)) for y, x in np.argwhere(region & near)] if other != j else []
+            assert other == j or parts.border(j, other) == want
+
+
+class TestParts:
+    @pytest.mark.parametrize("seed", range(4))
+    def test_random_moves_match_a_recount(self, seed):
+        # random multi-label maps, every part present at the start; random
+        # part voxels move to random other labels, 0 (a trim) included
+        rng = np.random.default_rng(seed)
+        for _ in range(12):
+            h, w = (int(v) for v in rng.integers(2, 9, size=2))
+            k = int(rng.integers(1, min(6, h * w) + 1))
+            inner = rng.integers(0, k + 1, size=h * w)
+            inner[:k] = np.arange(1, k + 1)
+            parts = _Parts(np.pad(rng.permutation(inner).reshape(h, w), 1).astype(np.int32), k)
+            assert_state_exact(parts, k)
+            for _ in range(25):
+                ys, xs = np.nonzero(parts.lab)
+                if not ys.size:
+                    break
+                n = int(rng.integers(ys.size))
+                y, x = int(ys[n]), int(xs[n])
+                take = int(rng.choice([t for t in range(k + 1) if t != parts.lab[y, x]]))
+                parts.move(y, x, take)
+                assert_state_exact(parts, k)
 
 
 class TestSubdivideEqual:
