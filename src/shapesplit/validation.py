@@ -17,6 +17,8 @@ from .exceptions import ValidationError
 # Upper bound on accepted grid size. Guards against absurd allocations from
 # corrupt headers, not a tuning knob.
 MAX_VOXELS = 1 << 26
+# Label maps are int32 internally; larger labels would wrap.
+_INT32_MAX = int(np.iinfo(np.int32).max)
 
 
 def _as_int(value) -> int:
@@ -86,6 +88,8 @@ def check_labelmap(labels) -> np.ndarray:
         raise ValidationError(f"label map must have an integer dtype, got {arr.dtype}")
     if arr.size and int(arr.min()) < 0:
         raise ValidationError("label map contains negative labels")
+    if arr.size and (top := int(arr.max())) > _INT32_MAX:
+        raise ValidationError(f"label {top} exceeds the largest supported label {_INT32_MAX}")
     return arr.astype(np.int32, copy=False)
 
 

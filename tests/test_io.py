@@ -151,6 +151,20 @@ class TestWriteLabelmap:
         twice = write_labelmap(read_labelmap(once))
         assert once == twice
 
+    @pytest.mark.parametrize("top", [1, 9, 255, 65535])
+    def test_matches_per_row_reference(self, top):
+        rng = np.random.default_rng(top)
+        labels = np.where(rng.random((9, 14)) < 0.1, rng.integers(1, top + 1, (9, 14)), 0)
+        labels[4, 6] = top  # sparse: a few voxels, one of them the top label
+        rows = "".join(" ".join(map(str, row)) + "\n" for row in labels.tolist())
+        assert write_labelmap(labels) == f"P2\n14 9\n{top}\n{rows}".encode("ascii")
+
+    def test_mask_matches_per_row_reference(self):
+        for mask in (random_mask(2, size=11), np.zeros((3, 5), dtype=bool), np.ones((1, 4), dtype=bool)):
+            h, w = mask.shape
+            rows = "".join(" ".join(map(str, row)) + "\n" for row in mask.astype(int).tolist())
+            assert write_mask(mask) == f"P2\n{w} {h}\n1\n{rows}".encode("ascii")
+
     def test_read_preserves_values(self):
         labels = np.array([[0, 3], [16, 1]], dtype=np.int32)
         assert np.array_equal(read_labelmap(write_labelmap(labels)), labels)
@@ -174,8 +188,19 @@ class TestFieldCsv:
         field = rng.random((13, 17)) * 10.0 ** rng.integers(-8, 30, size=(13, 17))
         field[rng.random((13, 17)) < 0.3] = np.inf
         field[rng.random((13, 17)) < 0.2] = 7.0
-        expected = "".join(",".join(cell(float(v)) for v in row) + "\n" for row in field)
-        assert write_field_csv(field) == expected.encode("ascii")
+        fields = [
+            field,
+            np.array([[-0.0, 0.0, 1.5], [0.0, -0.0, 2.0]]),  # equal values, distinct bits
+            np.array([[2.0**53, 2.0**53 + 2, 2.0**53 - 1, 2.0**52 + 0.5]]),
+            np.array([[1e300, 5e-324], [np.inf, 1.7976931348623157e308]]),
+            np.full((3, 4), np.inf),
+            rng.random((1, 23)) * 50.0,
+            rng.random((23, 1)) * 50.0,
+            np.arange(1, 61, dtype=np.float64).reshape(6, 10) / 7.0,  # all cells distinct
+        ]
+        for f in fields:
+            expected = "".join(",".join(cell(float(v)) for v in row) + "\n" for row in f)
+            assert write_field_csv(f) == expected.encode("ascii")
 
     def test_roundtrip_bit_exact(self):
         rng = np.random.default_rng(8)
@@ -213,6 +238,21 @@ class TestRegionStats:
     def test_empty_map(self):
         assert region_stats(np.zeros((4, 4), dtype=np.int32)) == []
         assert stats_jsonl([]) == b""
+
+    def test_matches_per_label_reference(self):
+        rng = np.random.default_rng(5)
+        labels = rng.integers(0, 6, (17, 23))
+        labels[labels == 3] = 0  # a gap in the label range
+        labels[16, 22] = 65535
+        stats = region_stats(labels)
+        assert [s.label for s in stats] == [1, 2, 4, 5, 65535]
+        for s in stats:
+            ys, xs = np.nonzero(labels == s.label)
+            assert s.area == xs.size
+            assert s.centroid == (float(xs.mean()), float(ys.mean()))
+            assert s.bbox == (int(xs.min()), int(ys.min()), int(xs.max()), int(ys.max()))
+            assert type(s.label) is int and type(s.area) is int and type(s.centroid[0]) is float
+            assert all(type(v) is int for v in s.bbox)
 
     def test_jsonl_stable_format(self):
         labels = np.zeros((2, 3), dtype=np.int32)

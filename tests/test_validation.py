@@ -1,7 +1,7 @@
 import numpy as np
 import pytest
 
-from shapesplit import ValidationError, fast_march
+from shapesplit import ValidationError, balance_areas, fast_march, region_stats, write_labelmap
 from shapesplit.validation import check_coord, check_dims, check_path
 
 
@@ -29,3 +29,25 @@ class TestIntegerCoercion:
         assert check_path([(0.0, 0), (np.int32(1), 1)]) == [(0, 0), (1, 1)]
         for x, y in check_path([(0.0, 0), (np.int32(1), 1)]):
             assert type(x) is int and type(y) is int
+
+
+# Labels above the int32 maximum used to wrap: 2**32 + 3 became label 3,
+# and 2**31 became -2**31.
+TOO_LARGE = [np.array([[0, 2**32 + 3], [3, 1]]), np.array([[2**31]], dtype=np.uint32)]
+
+
+class TestLabelRange:
+    @pytest.mark.parametrize("labels", TOO_LARGE)
+    @pytest.mark.parametrize("call", [
+        write_labelmap,
+        region_stats,
+        lambda labels: balance_areas(labels, 3, np.ones(labels.shape)),
+    ], ids=["write_labelmap", "region_stats", "balance_areas"])
+    def test_rejected(self, call, labels):
+        with pytest.raises(ValidationError, match=f"label {labels.max()} exceeds"):
+            call(labels)
+
+    def test_int32_maximum_accepted(self):
+        labels = np.array([[0, 2**31 - 1]], dtype=np.int64)
+        (s,) = region_stats(labels)
+        assert s.label == 2**31 - 1
