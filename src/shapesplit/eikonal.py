@@ -73,10 +73,11 @@ def fast_march(potential, domain, source) -> ArrivalField:
         raise ValidationError("potential must be positive and finite on the domain")
 
     # Pad by one voxel so that every neighbour index is in range; padding
-    # and off-domain voxels are never updated and stay +inf.
+    # and off-domain voxels are never updated, stay +inf and get potential 0.
     pw = w + 2
     live = np.pad(dom2d, 1).ravel()
-    pot = np.pad(pot2d, 1).ravel()
+    pot = np.pad(np.where(dom2d, pot2d, 0.0), 1).ravel()
+    pot2 = 2.0 * pot * pot
     u = np.full(live.size, _INF)
     src = (sy + 1) * pw + sx + 1
     u[src] = 0.0
@@ -84,25 +85,25 @@ def fast_march(potential, domain, source) -> ArrivalField:
     steps = np.array([-1, 1, -pw, pw])
     stamp = np.empty(live.size, dtype=np.intp)
     changed = np.array([src])
-    while changed.size:
-        near = (changed[:, None] + steps).ravel()
-        near = near[live[near]]
-        # De-duplicate: keep each voxel where its last write landed.
-        order = np.arange(near.size)
-        stamp[near] = order
-        active = near[stamp[near] == order]
-        a = np.minimum(u[active - 1], u[active + 1])
-        b = np.minimum(u[active - pw], u[active + pw])
-        gap = np.abs(a - b)
-        v = pot[active]
-        # Largest root of (U-a)+^2 + (U-b)+^2 = v^2, or the one-sided value
-        # min(a, b) + v when the roots are invalid (also for an unreached axis).
-        with np.errstate(invalid="ignore"):
-            root = 0.5 * (a + b + np.sqrt(2.0 * v * v - gap * gap))
-        new = np.where(gap >= v, np.minimum(a, b) + v, root)
-        better = new < u[active]
-        changed = active[better]
-        u[changed] = new[better]
+    with np.errstate(invalid="ignore"):
+        while changed.size:
+            near = (changed[:, None] + steps).ravel()
+            near = near[live[near]]
+            # De-duplicate: keep each voxel where its last write landed.
+            order = np.arange(near.size)
+            stamp[near] = order
+            active = near[stamp[near] == order]
+            a = np.minimum(u[active - 1], u[active + 1])
+            b = np.minimum(u[active - pw], u[active + pw])
+            gap = np.abs(a - b)
+            v = pot[active]
+            # Largest root of (U-a)+^2 + (U-b)+^2 = v^2, or the one-sided value
+            # min(a, b) + v when the roots are invalid (also for an unreached axis).
+            root = 0.5 * (a + b + np.sqrt(pot2[active] - gap * gap))
+            new = np.where(gap >= v, np.minimum(a, b) + v, root)
+            better = new < u[active]
+            changed = active[better]
+            u[changed] = new[better]
 
     return ArrivalField(values=u.reshape(h + 2, pw)[1:-1, 1:-1].copy(), source=(sx, sy))
 

@@ -3,8 +3,10 @@
 Coordinates are ``(x, y)`` pairs on a ``width x height`` grid; arrays are
 indexed ``[y, x]``. Everything outside the grid counts as background.
 Every connectivity question in the library (is a region one piece, which
-pieces does a cut leave, which band voxels reach the anchor) is answered
-by the one run-based labeling in ``connected_components``.
+pieces does a cut leave, which band voxels reach the anchor, is every part
+of a label map one piece) is answered by the one run-based labeling in
+``_label_runs``: of a mask, or of a label map at once, where runs join only
+runs of their own label.
 """
 
 from __future__ import annotations
@@ -42,57 +44,61 @@ def is_connected(region: np.ndarray) -> bool:
 
 
 def connected_components(mask, connectivity: int = 4) -> tuple[np.ndarray, int]:
-    """Label connected components of a boolean mask.
+    """``(labels, count)``: the connected components of a boolean mask, as int32 labels.
 
-    Run-based labeling over the whole array: every row run is found at once,
-    each run is joined to the runs it touches on the row above, and the
-    labels are painted run by run. Components are numbered ``1..count`` in
-    order of first encounter in a row-major scan, so the numbering is
-    deterministic; background voxels get label 0.
-
-    Returns ``(labels, count)`` with ``labels`` an int32 array of the same
-    shape as ``mask``.
+    Components are numbered ``1..count`` in order of first encounter in a
+    row-major scan; background voxels get label 0.
     """
-    m = check_mask(mask)
-    conn = check_connectivity(connectivity)
-    h, w = m.shape
-    labels = np.zeros((h, w), dtype=np.int32)
+    return _label_runs(check_mask(mask), check_connectivity(connectivity))
 
-    # Runs [start, end) per row, in row-major order, from the edges of the
-    # rows padded with background on both sides.
-    edges = np.diff(np.pad(m, ((0, 0), (1, 1))).view(np.int8), axis=1)
-    rows, starts = np.nonzero(edges == 1)
-    ends = np.nonzero(edges == -1)[1]
 
-    # Runs touch across rows when their column intervals overlap; 8-connectivity
-    # widens the window by one column on each side. On keys row * (w + 2) + col,
-    # one search per side finds the slice [lo, hi) of touching runs one row up.
+def _label_runs(values: np.ndarray, conn: int) -> tuple[np.ndarray, int]:
+    """Label the ``conn``-connected pieces of equal nonzero value in a 2-D array.
+
+    Run-based labeling over the whole array (He, Chao & Suzuki 2008): every
+    maximal row run of one nonzero value is found at once, and a run joins
+    the runs of its value it touches on the row above. Numbering and return
+    value are those of ``connected_components``, with zeros as background.
+    """
+    h, w = values.shape
+    # Rows with a zero in front, flattened, with a zero at the end: runs are
+    # [start, end) between changes of value and never wrap to the next row.
+    pitch = w + 1
+    flat = np.zeros(h * pitch + 1, dtype=values.dtype)
+    flat[:-1].reshape(h, pitch)[:, 1:] = values
+    change = np.flatnonzero(flat[1:] != flat[:-1]) + 1
+    starts = change[flat[change] != 0]
+    ends = change[flat[change - 1] != 0]
+
+    # Runs touch across rows when their columns overlap, widened by one on each
+    # side at 8-connectivity: the runs [lo, hi) one row up. Keep the touching
+    # pairs (src, dst) of equal value.
     slack = 0 if conn == 4 else 1
-    pitch = w + 2
-    above = (rows - 1) * pitch
-    lo = np.searchsorted(rows * pitch + ends, above + starts - slack, side="right")
-    hi = np.searchsorted(rows * pitch + starts, above + ends + slack, side="left")
+    lo = np.searchsorted(ends, starts - pitch - slack, side="right")
+    hi = np.searchsorted(starts, ends - pitch + slack, side="left")
+    touching = hi - lo
+    src = np.repeat(np.arange(starts.size), touching)
+    dst = np.arange(src.size) + np.repeat(lo - np.cumsum(touching) + touching, touching)
+    same = flat[starts[src]] == flat[starts[dst]]
+    src, dst = src[same], dst[same]
 
-    # Union-find over runs; each root is the earliest run of its component.
-    parent = list(range(rows.size))
+    # A forest whose pointers all go to earlier runs, so each root is the first
+    # run of its piece: hook every run to a touching run above, then jump every
+    # pointer to its root and hook the later root of each pair in two trees to
+    # the earlier one, until no pair is.
+    parent = np.arange(starts.size)
+    parent[src] = dst
+    while True:
+        while not np.array_equal(jumped := parent[parent], parent):
+            parent = jumped
+        a, b = parent[src], parent[dst]
+        if np.array_equal(a, b):
+            break
+        np.minimum.at(parent, np.maximum(a, b), np.minimum(a, b))
 
-    def find(i: int) -> int:
-        while parent[i] != i:
-            parent[i] = parent[parent[i]]  # path halving
-            i = parent[i]
-        return i
-
-    touching = np.flatnonzero(lo < hi)
-    for i, a, b in zip(touching.tolist(), lo[touching].tolist(), hi[touching].tolist()):
-        root = find(a)
-        for j in range(a + 1, b):
-            other = find(j)
-            if other != root:
-                root, other = min(root, other), max(root, other)
-                parent[other] = root
-        parent[i] = root
-
-    roots, run_label = np.unique([find(i) for i in range(rows.size)], return_inverse=True)
-    # True voxels in row-major order are the runs in order.
-    labels[m] = np.repeat(run_label.astype(np.int32) + 1, ends - starts)
-    return labels, int(roots.size)
+    # Roots in run order are the components in order of first encounter, and
+    # the nonzero voxels in row-major order are the runs in order.
+    number = np.cumsum(parent == np.arange(parent.size), dtype=np.int32)
+    labels = np.zeros((h, w), dtype=np.int32)
+    labels[values != 0] = np.repeat(number[parent], ends - starts)
+    return labels, int(number[-1]) if number.size else 0

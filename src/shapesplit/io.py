@@ -152,16 +152,19 @@ def write_field_csv(field) -> bytes:
 def read_field_csv(data: bytes) -> np.ndarray:
     """Read a field written by :func:`write_field_csv`."""
     text = data.decode("ascii", errors="replace")
-    rows = [line.split(",") for line in text.split("\n") if line]
-    if not rows:
+    lines = [line for line in text.split("\n") if line]
+    if not lines:
         raise ValidationError("empty field file")
-    if any(len(row) != len(rows[0]) for row in rows):
+    if len({line.count(",") for line in lines}) > 1:
         raise ValidationError("field rows differ in length")
+    # A field holds few distinct values: parse each distinct cell once.
+    cells = ",".join(lines).split(",")
     try:
-        field = np.array([[float(cell) for cell in row] for row in rows], dtype=np.float64)
+        value = {cell: float(cell) for cell in set(cells)}
     except ValueError:
         raise ValidationError("field file holds a value that is not a number") from None
-    return check_scalar_field(field)
+    field = np.fromiter(map(value.__getitem__, cells), np.float64, len(cells))
+    return check_scalar_field(field.reshape(len(lines), -1))
 
 
 @dataclass(frozen=True)

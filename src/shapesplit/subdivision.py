@@ -7,7 +7,9 @@ every cut before moving on. A balancing pass then equalizes the region
 areas by exchanging border voxels, and trims the division remainder from
 the last region so that all areas come out exactly equal. It keeps the
 areas, Euler numbers, adjacency and boxes of the parts up to date voxel by
-voxel, so no exchange rescans the grid.
+voxel, so no exchange rescans the grid. Connectivity is asked on bounding
+boxes: each cut on what is left to label, each band on its line, each new
+part on its own box; one labeling of the label map checks all parts at once.
 
 Regions use 4-connectivity, paths and cut bands 8-connectivity; an
 8-connected band 4-separates the plane, which is what makes one-voxel cuts
@@ -23,7 +25,7 @@ import numpy as np
 
 from .centerline import DEFAULT_EXPONENT, CenterlineResult, _extract_full
 from .exceptions import BalanceError, CutError, ValidationError
-from .grid import connected_components, is_connected
+from .grid import _label_runs, is_connected
 from .validation import (
     _as_int,
     check_coord,
@@ -91,6 +93,12 @@ def sample_cut_points(path, k: int) -> list[Cut]:
     return plan
 
 
+def _box(mask: np.ndarray) -> tuple[slice, slice]:
+    """The bounding box of a nonempty mask's true voxels, as an index."""
+    rows, cols = (np.flatnonzero(mask.any(axis)).tolist() for axis in (1, 0))
+    return np.s_[rows[0] : rows[-1] + 1, cols[0] : cols[-1] + 1]
+
+
 def _band_mask(region: np.ndarray, anchor, normal) -> np.ndarray:
     """Digital-line band through ``anchor`` perpendicular to ``normal``.
 
@@ -101,13 +109,13 @@ def _band_mask(region: np.ndarray, anchor, normal) -> np.ndarray:
     """
     ax, ay = anchor
     nx, ny = float(normal[0]), float(normal[1])
-    h, w = region.shape
-    xs = np.arange(w, dtype=np.float64) - ax
-    ys = np.arange(h, dtype=np.float64) - ay
-    dot = nx * xs[None, :] + ny * ys[:, None]
+    ys, xs = np.ogrid[: region.shape[0], : region.shape[1]]
+    dot = nx * (xs - ax) + ny * (ys - ay)
     line = region & (2.0 * np.abs(dot) <= max(abs(nx), abs(ny)))
-    comps, _ = connected_components(line, connectivity=8)
-    return comps == comps[ay, ax]
+    rows, cols = box = _box(line)
+    comps, _ = _label_runs(line[box], 8)
+    line[box] = comps == comps[ay - rows.start, ax - cols.start]
+    return line
 
 
 def cut_band(mask, anchor, normal) -> set[tuple[int, int]]:
@@ -156,7 +164,7 @@ def subdivide(mask, path, plan: list[Cut]) -> np.ndarray:
     m = check_mask(mask, require_nonempty=True)
     pts = check_path(path)
     h, w = m.shape
-    _, count = connected_components(m, connectivity=4)
+    _, count = _label_runs(m, 4)
     if count != 1:
         raise ValidationError(f"region not connected ({count} components)")
     for px, py in pts:
@@ -177,23 +185,21 @@ def subdivide(mask, path, plan: list[Cut]) -> np.ndarray:
 
 def _subdivide(m: np.ndarray, pts: list[tuple[int, int]], indices: list[int]) -> np.ndarray:
     """``subdivide`` on a one-region mask, a path in it, and cut indices, all validated."""
-    # Cut on the region's bounding box, writing through to the full label
-    # map: row-major order there is the grid's, so components number alike.
-    ys, xs = np.nonzero(m)
-    y0, x0 = int(ys.min()), int(xs.min())
-    box = np.s_[y0 : int(ys.max()) + 1, x0 : int(xs.max()) + 1]
-    pts = [(px - x0, py - y0) for px, py in pts]
+    # Each segment is cut on the box of the unlabeled voxels, writing through
+    # to the full map: row-major order on a box is the grid's, so pieces number alike.
     path_x, path_y = np.array(pts).T
     length = len(pts)
     k = len(indices) + 1
     max_shift = length // (4 * k)
-    full = np.zeros(m.shape, dtype=np.int32)
-    labels = full[box]
-    working = m[box].copy()
+    labels = np.zeros(m.shape, dtype=np.int32)
+    working = m.copy()
 
     for j, index in enumerate(indices, start=1):
-        chosen = None
-        fallback = None
+        box = _box(working)
+        work, y0, x0 = working[box], box[0].start, box[1].start
+        on = working[path_y, path_x]  # the unlabeled path voxels, all on the box
+        box_y, box_x = path_y[on] - y0, path_x[on] - x0
+        chosen = fallback = None
         for shift in _shift_sequence(max_shift):
             i = index + shift
             if not 1 <= i <= length - 2:
@@ -201,11 +207,11 @@ def _subdivide(m: np.ndarray, pts: list[tuple[int, int]], indices: list[int]) ->
             ax, ay = pts[i]
             if not working[ay, ax]:
                 continue
-            band = _band_mask(working, (ax, ay), _tangent(pts, i))
-            comps, ncomp = connected_components(working & ~band, connectivity=4)
+            band = _band_mask(work, (ax - x0, ay - y0), _tangent(pts, i))
+            comps, ncomp = _label_runs(work & ~band, 4)
             # Components along the path, in path order, the first behind the
             # cut; band voxels and labeled parts are off the working mask.
-            along = comps[path_y, path_x]
+            along = comps[box_y, box_x]
             along = along[along > 0]
             if ncomp < 2 or along.size == 0:
                 continue
@@ -216,18 +222,18 @@ def _subdivide(m: np.ndarray, pts: list[tuple[int, int]], indices: list[int]) ->
             # centerline voxel can never be labeled by a later cut, and (b)
             # yields a 4-connected region once the band joins the behind side;
             # a diagonal band's tail can otherwise hang off the far side.
-            if np.unique(along).size == ncomp and is_connected(part):
+            if np.unique(along).size == ncomp and _label_runs(part[_box(part)], 4)[1] == 1:
                 chosen = part
                 break
         if chosen is None:
             chosen = fallback
         if chosen is None:
             raise CutError(f"cut failed at segment {j}")
-        labels[chosen] = j
-        working &= ~chosen
+        labels[box][chosen] = j
+        work &= ~chosen
 
     labels[working] = k
-    return full
+    return labels
 
 
 # The 8-neighbors of a voxel in ring order, clockwise from north: even
@@ -279,13 +285,8 @@ class _Parts:
         touch = sum(np.bincount((a * (k + 1) + b).ravel(), minlength=(k + 1) ** 2) for a, b in pairs)
         touch = touch.reshape(k + 1, k + 1)
         self.quads, self.touch = quads.astype(int).tolist(), (touch + touch.T).tolist()
-        spans = [[np.flatnonzero((lab == j).any(axis)) for axis in (1, 0)] for j in range(k + 1)]
-        self.boxes = [[int(rows[0]), int(rows[-1]), int(cols[0]), int(cols[-1])] for rows, cols in spans]
-
-    def part(self, j: int) -> tuple[np.ndarray, int, int]:
-        """``(region, y0, x0)``: part ``j`` on its box, and the box's corner."""
-        y0, y1, x0, x1 = self.boxes[j]
-        return self.lab[y0 : y1 + 1, x0 : x1 + 1] == j, y0, x0
+        boxes = (_box(lab == j) for j in range(k + 1))
+        self.boxes = [[r.start, r.stop - 1, c.start, c.stop - 1] for r, c in boxes]
 
     def pattern(self, i: int, j: int) -> int:
         return sum(bit for bit, off in self.ring if self.flat[i + off] == j)
@@ -327,7 +328,8 @@ def _removable(parts: _Parts, j: int, cand):
         i = y * parts.width + x
         groups = _RING_TABLE[parts.pattern(i, j)][0] if parts.flat[i] == j else 0
         if groups > 1 and parts.quads[j] != 4:  # around a hole, the groups may meet
-            rest, y0, x0 = parts.part(j)
+            y0, y1, x0, x1 = parts.boxes[j]
+            rest = parts.lab[y0 : y1 + 1, x0 : x1 + 1] == j
             rest[y - y0, x - x0] = False
             groups = 1 if is_connected(rest) else groups
         if groups == 1:
@@ -376,6 +378,15 @@ def _route_to_deficit(parts: _Parts, goals, dest: int) -> list[int] | None:
     return None
 
 
+def _check_pieces(lab: np.ndarray, k: int) -> None:
+    """Raise BalanceError naming the lowest label that is not one piece; ``lab`` is padded, holding 0..k."""
+    comps, count = _label_runs(lab, 4)
+    if count > k:
+        _, first = np.unique(comps, return_index=True)  # a voxel of each piece
+        j = int(np.flatnonzero(np.bincount(lab.ravel()[first[1:]]) > 1)[0])
+        raise BalanceError(f"balance failed: region {j} is not 4-connected")
+
+
 def _area_report(areas: list[int], k: int) -> str:
     return ", ".join(f"{j}: {areas[j]}" for j in range(1, k + 1))
 
@@ -412,13 +423,10 @@ def balance_areas(labels, k: int, arrival) -> np.ndarray:
         raise ValidationError("arrival values must be finite on all labeled voxels")
     # Work on the labels' bounding box padded with background, as the grid's
     # outside is; row-major order is kept.
-    ys, xs = np.nonzero(lab)
-    box = np.s_[ys.min() : ys.max() + 1, xs.min() : xs.max() + 1]
+    box = _box(lab)
     parts = _Parts(np.pad(lab[box], 1), k)
     arr = np.pad(arr[box], 1)
-    for j in range(1, k + 1):
-        if not is_connected(parts.part(j)[0]):
-            raise BalanceError(f"balance failed: region {j} is not 4-connected")
+    _check_pieces(parts.lab, k)
 
     areas = parts.areas
     total = sum(areas[1:])
@@ -484,9 +492,7 @@ def balance_areas(labels, k: int, arrival) -> np.ndarray:
     lab[box] = parts.lab[1:-1, 1:-1]
     if any(areas[j] != target for j in range(1, k + 1)):
         raise BalanceError(f"balance failed; region areas: {_area_report(areas, k)}")
-    for j in range(1, k + 1):
-        if not is_connected(parts.part(j)[0]):
-            raise BalanceError(f"balance failed: region {j} is not 4-connected")
+    _check_pieces(parts.lab, k)
     return lab
 
 

@@ -2,7 +2,7 @@ import numpy as np
 import pytest
 
 from shapesplit import ValidationError, connected_components, neighbors
-from shapesplit.grid import is_connected
+from shapesplit.grid import _label_runs, is_connected
 
 from conftest import random_mask
 from oracles import flood_fill_components
@@ -96,7 +96,55 @@ class TestConnectedComponents:
         firsts = [int(np.flatnonzero(flat == j)[0]) for j in range(1, count + 1)]
         assert firsts == sorted(firsts)
 
+    @pytest.mark.parametrize("connectivity", [4, 8])
+    def test_matches_flood_fill_oracle_on_random_masks(self, connectivity):
+        # 300 masks of every shape from 1x1 to 24x24 and every density.
+        rng = np.random.default_rng(connectivity)
+        for _ in range(300):
+            h, w = rng.integers(1, 25, size=2)
+            mask = rng.random((h, w)) < rng.random()
+            got, count = connected_components(mask, connectivity)
+            want, want_count = flood_fill_components(mask, connectivity)
+            assert count == want_count
+            assert np.array_equal(got, want)
+            assert got.dtype == np.int32
+
     def test_accepts_integer_input(self):
         labels, count = connected_components(np.array([[0, 2], [3, 0]]), 4)
         assert count == 2
         assert labels.tolist() == [[0, 1], [2, 0]]
+
+
+class TestLabelRuns:
+    """The run labeling of label maps: a run joins only runs of its own value."""
+
+    @pytest.mark.parametrize("seed", range(4))
+    @pytest.mark.parametrize("connectivity", [4, 8])
+    def test_pieces_are_the_flood_fill_components_of_each_label(self, seed, connectivity):
+        rng = np.random.default_rng(seed)
+        for _ in range(40):
+            h, w = rng.integers(1, 21, size=2)
+            values = rng.integers(0, int(rng.integers(2, 6)), size=(h, w)).astype(np.int32)
+            if rng.random() < 0.5:  # blocky maps, with longer runs
+                values = np.repeat(values[:, ::3], 3, axis=1)[:, :w]
+            got, count = _label_runs(values, connectivity)
+            assert got.dtype == np.int32
+            assert np.array_equal(got > 0, values > 0)
+            total = 0
+            for j in np.unique(values[values > 0]):
+                want, want_count = flood_fill_components(values == j, connectivity)
+                total += want_count
+                # the same pieces, numbered apart: a one-to-one map of numbers
+                pairs = {(int(a), int(b)) for a, b in zip(got[values == j], want[values == j])}
+                assert len(pairs) == len({a for a, _ in pairs}) == len({b for _, b in pairs}) == want_count
+            assert count == total
+            # first encounter in row-major order numbers the pieces
+            flat = got.ravel()
+            firsts = [int(np.flatnonzero(flat == c)[0]) for c in range(1, count + 1)]
+            assert firsts == sorted(firsts)
+
+    def test_touching_labels_stay_apart(self):
+        values = np.array([[1, 1, 2, 2], [2, 2, 1, 1], [1, 2, 1, 2]], dtype=np.int32)
+        labels, count = _label_runs(values, 4)
+        assert count == 6
+        assert labels.tolist() == [[1, 1, 2, 2], [3, 3, 4, 4], [5, 3, 4, 6]]

@@ -178,17 +178,13 @@ class TestFieldCsv:
         field = np.array([[1.0, np.inf]])
         assert write_field_csv(field) == b"1,inf\n"
 
-    def test_matches_per_cell_reference(self):
-        def cell(v):
-            if math.isinf(v):
-                return "inf"
-            return str(int(v)) if v == math.floor(v) else repr(v)
-
+    @staticmethod
+    def fields():
         rng = np.random.default_rng(4)
         field = rng.random((13, 17)) * 10.0 ** rng.integers(-8, 30, size=(13, 17))
         field[rng.random((13, 17)) < 0.3] = np.inf
         field[rng.random((13, 17)) < 0.2] = 7.0
-        fields = [
+        return [
             field,
             np.array([[-0.0, 0.0, 1.5], [0.0, -0.0, 2.0]]),  # equal values, distinct bits
             np.array([[2.0**53, 2.0**53 + 2, 2.0**53 - 1, 2.0**52 + 0.5]]),
@@ -198,9 +194,31 @@ class TestFieldCsv:
             rng.random((23, 1)) * 50.0,
             np.arange(1, 61, dtype=np.float64).reshape(6, 10) / 7.0,  # all cells distinct
         ]
-        for f in fields:
+
+    def test_matches_per_cell_reference(self):
+        def cell(v):
+            if math.isinf(v):
+                return "inf"
+            return str(int(v)) if v == math.floor(v) else repr(v)
+
+        for f in self.fields():
             expected = "".join(",".join(cell(float(v)) for v in row) + "\n" for row in f)
             assert write_field_csv(f) == expected.encode("ascii")
+
+    def test_read_matches_per_cell_float(self):
+        # Reading parses each distinct cell once; every bit must be what a
+        # float() per cell gives, including signed zeros in hand-written files.
+        for data in [write_field_csv(f) for f in self.fields()] + [b"-0,0, 1.5\n0,-0,1_0\n"]:
+            rows = [line.split(",") for line in data.decode("ascii").split("\n") if line]
+            want = np.array([[float(cell) for cell in row] for row in rows])
+            got = read_field_csv(data)
+            assert got.shape == want.shape
+            assert got.tobytes() == want.tobytes()
+
+    def test_one_bad_cell_among_repeats_rejected(self):
+        data = write_field_csv(np.full((6, 7), 3.5)).replace(b"3.5", b"3.5x", 1)
+        with pytest.raises(ValidationError, match="not a number"):
+            read_field_csv(data)
 
     def test_roundtrip_bit_exact(self):
         rng = np.random.default_rng(8)

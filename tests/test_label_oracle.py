@@ -1,7 +1,7 @@
 """Behaviour oracle: pinned ``subdivide_equal`` outcomes on the test shapes.
 
 Each case pins the sha256 of the label map's int32 bytes in C order, or
-the class of the error raised. A change to the pipeline that moves any of
+the class and message of the error raised. A change to the pipeline that moves any of
 these alters the partitions the library produces, and must do so on
 purpose.
 """
@@ -123,6 +123,27 @@ EXPECTED = {
     ("strip_64x512", 4): "dc6bdcc1bf2516cb854463dbb28b15efa1d6e8f84ba5803dd24c9e0963f8f3da",
 }
 
+# The message of every error case above.
+MESSAGES = {
+    ("blob48_3", 8): "balance failed: region 8 is not 4-connected",
+    ("blob48_11", 8): "cut failed at segment 7",
+    ("blob48_12", 8): "balance failed: region 8 is not 4-connected",
+    ("blob48_13", 8): "balance failed: region 8 is not 4-connected",
+    ("blob48_16", 5): "k too large for region (centerline has 5 voxels, need at least 11)",
+    ("blob48_16", 8): "k too large for region (centerline has 5 voxels, need at least 17)",
+    ("blob48_18", 8): "balance failed: region 3 is not 4-connected",
+    ("blob48_20", 5): "balance failed; region areas: 1: 162, 2: 143, 3: 158, 4: 128, 5: 128",
+    ("blob48_21", 5): "cut failed at segment 3",
+    ("blob48_21", 8): "balance failed: region 4 is not 4-connected",
+    ("blob96_0", 8): "cut failed at segment 4",
+    ("blob96_5", 5): "balance failed: region 5 is not 4-connected",
+    ("blob96_7", 2): "balance failed; region areas: 1: 881, 2: 654",
+    ("blob96_7", 5): "balance failed; region areas: 1: 347, 2: 307, 3: 307, 4: 307, 5: 267",
+    ("blob96_7", 8): (
+        "balance failed; region areas: 1: 207, 2: 196, 3: 191, 4: 191, 5: 191, 6: 192, 7: 191, 8: 176"
+    ),
+}
+
 
 def _mask(name: str) -> np.ndarray:
     if name == "rectangle_64x16":
@@ -142,6 +163,11 @@ def test_label_map_pinned(name, k):
         labels = subdivide_equal(_mask(name), k)
     except ShapeSplitError as err:
         outcome = type(err).__name__
+        assert str(err) == MESSAGES[(name, k)]
     else:
         outcome = hashlib.sha256(np.ascontiguousarray(labels, dtype=np.int32).tobytes()).hexdigest()
     assert outcome == EXPECTED[(name, k)]
+
+
+def test_every_error_case_has_its_message():
+    assert set(MESSAGES) == {case for case, outcome in EXPECTED.items() if outcome.endswith("Error")}

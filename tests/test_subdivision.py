@@ -16,7 +16,8 @@ from shapesplit import (
     subdivide_equal,
 )
 from shapesplit.eikonal import ArrivalField
-from shapesplit.subdivision import _RING, _RING_TABLE, _Parts, _removable
+from shapesplit import subdivision
+from shapesplit.subdivision import _RING, _RING_TABLE, _band_mask, _Parts, _removable
 
 from conftest import make_blob
 from oracles import adjacent_label_pairs, bit_quad_sum, euler_number, flood_fill_components
@@ -125,6 +126,31 @@ class TestCutBand:
     def test_bad_normal_rejected(self, normal):
         with pytest.raises(ValidationError, match="normal"):
             cut_band(np.ones((3, 3), dtype=bool), (1, 1), normal)
+
+
+class TestBandMask:
+    def test_line_box_labeling_matches_a_whole_grid_reference(self):
+        # The band is labeled on the line's own bounding box; a reference
+        # labels the whole line with the flood-fill oracle.
+        rng = np.random.default_rng(12)
+        for _ in range(200):
+            h, w = rng.integers(3, 30, size=2)
+            region = rng.random((h, w)) < rng.uniform(0.3, 1.0)
+            ys, xs = np.nonzero(region)
+            if ys.size == 0:
+                continue
+            pick = rng.integers(ys.size)
+            ax, ay = int(xs[pick]), int(ys[pick])
+            normal = (0, 0)
+            while normal == (0, 0):
+                normal = tuple(int(v) for v in rng.integers(-2, 3, size=2))
+            nx, ny = normal
+            yy, xx = np.mgrid[0:h, 0:w]
+            line = region & (2.0 * np.abs(nx * (xx - ax) + ny * (yy - ay)) <= max(abs(nx), abs(ny)))
+            comps, _ = flood_fill_components(line, 8)
+            before = region.copy()
+            assert np.array_equal(_band_mask(region, (ax, ay), normal), comps == comps[ay, ax])
+            assert np.array_equal(region, before)
 
 
 def areas_of(labels, k):
@@ -311,6 +337,31 @@ class TestBalanceAreas:
         labels[0] = [1, 2, 1, 2, 2]  # label 1 split in two
         with pytest.raises(BalanceError, match="balance failed"):
             balance_areas(labels, 2, synthetic_arrival(labels.shape))
+
+    def test_entry_failure_names_the_lowest_split_region(self):
+        # labels 3 and 2 are both split, 3 met first in row-major order
+        labels = np.array([[1, 3, 2, 3, 2]], dtype=np.int32)
+        with pytest.raises(BalanceError) as err:
+            balance_areas(labels, 3, synthetic_arrival(labels.shape))
+        assert str(err.value) == "balance failed: region 2 is not 4-connected"
+
+    def test_exit_failure_names_the_lowest_split_region(self, monkeypatch):
+        # Balancing never splits a part, so the exit check is reached only
+        # with a removal test that lets every voxel go. Region 2 gives its
+        # three voxels above region 1, region 3 the one under column 4; both
+        # end split, with the areas equal at 7.
+        def any_voxel(parts, j, cand):
+            return ((y, x) for y, x in cand if parts.flat[y * parts.width + x] == j)
+
+        monkeypatch.setattr(subdivision, "_removable", any_voxel)
+        labels = np.zeros((3, 10), dtype=np.int32)
+        labels[0] = 2
+        labels[1, 3:6] = 1
+        labels[2, 1:9] = 3
+        arrival = np.abs(np.arange(10) - 4.0)[None, :] + np.ones((3, 1))
+        with pytest.raises(BalanceError) as err:
+            balance_areas(labels, 3, arrival)
+        assert str(err.value) == "balance failed: region 2 is not 4-connected"
 
     def test_surplus_routes_across_intermediate_regions(self):
         # all surplus sits on region 1, the deficits at the chain's far end
