@@ -11,7 +11,7 @@ The top-level surface is a pair of sklearn-style estimators
 underlying operations are plain functions and can be composed directly.
 """
 
-from .centerline import extract_centerline
+from .centerline import extract_centerline, subdivide_equal
 from .distance import euclidean_distance_map
 from .eikonal import ArrivalField, argmax_field, descend, fast_march
 from .estimators import CenterlineExtractor, EqualAreaSubdivider
@@ -23,7 +23,7 @@ from .exceptions import (
     ShapeSplitError,
     ValidationError,
 )
-from .grid import connected_components, neighbors
+from .grid import connected_components
 from .io import (
     RegionStats,
     read_field_csv,
@@ -42,7 +42,6 @@ from .subdivision import (
     normal_at,
     sample_cut_points,
     subdivide,
-    subdivide_equal,
 )
 
 __version__ = "0.1.0"
@@ -67,7 +66,6 @@ __all__ = [
     "euclidean_distance_map",
     "extract_centerline",
     "fast_march",
-    "neighbors",
     "normal_at",
     "read_field_csv",
     "read_labelmap",

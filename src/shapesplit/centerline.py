@@ -1,4 +1,4 @@
-"""Centerline extraction for a connected binary region.
+"""The pipeline: a region's centerline, then its equal-area parts.
 
 The centerline is found in four steps: compute the distance map, grow a
 unit-potential wave from the deepest voxel to find one end of the region,
@@ -6,7 +6,10 @@ grow a second wave from that end with the potential shaped so that deep
 voxels are cheap to cross (the wave runs fastest along the region's middle),
 and finally walk down the second wave's arrival times from its farthest
 voxel. The walk traces the minimal path between the two ends, hugging the
-deep interior.
+deep interior. A split into k parts then plans cuts along the path, applies
+them and balances the part areas (``subdivision``). ``_run`` composes the
+stages once; ``extract_centerline``, ``subdivide_equal`` and the estimators
+are views of its record.
 """
 
 from __future__ import annotations
@@ -19,25 +22,29 @@ from .distance import euclidean_distance_map
 from .eikonal import ArrivalField, argmax_field, descend, fast_march
 from .exceptions import AlgorithmError, ValidationError
 from .grid import connected_components
-from .validation import check_exponent, check_mask
+from .subdivision import Cut, _subdivide, balance_areas, sample_cut_points
+from .validation import check_exponent, check_mask, check_positive_int
 
 # Exponent applied to the depth ratio when shaping the second wave's
 # potential. Higher values pull the path harder toward the deepest voxels.
 DEFAULT_EXPONENT = 6.0
 
 
-class CenterlineResult(NamedTuple):
-    path: list[tuple[int, int]]
+class _Record(NamedTuple):
     distance_map: np.ndarray
     first_wave: ArrivalField
     second_wave: ArrivalField
+    path: list[tuple[int, int]]
+    plan: list[Cut] | None  # the cut plan and label map, when a k was given
+    labels: np.ndarray | None
 
 
-def _extract_full(mask, exponent: float = DEFAULT_EXPONENT) -> CenterlineResult:
-    """Run the full centerline pipeline, keeping every intermediate."""
-    m = check_mask(mask, require_nonempty=True)
+def _run(m: np.ndarray, exponent, k: int | None = None, balance=True) -> _Record:
+    """Every stage on a checked nonempty mask and k; checks exponent, ``balance``, connectivity."""
     exponent = check_exponent(exponent)
-    _, count = connected_components(m, connectivity=4)
+    if not isinstance(balance, (bool, np.bool_)):
+        raise ValidationError(f"balance must be True or False, got {balance!r}")
+    count = connected_components(m, connectivity=4)[1]
     if count != 1:
         raise ValidationError(f"region not connected ({count} components)")
 
@@ -47,9 +54,7 @@ def _extract_full(mask, exponent: float = DEFAULT_EXPONENT) -> CenterlineResult:
     # Deepest voxel seeds the first wave (row-major tie-break; background
     # is 0 so a plain argmax lands inside the region).
     idx = int(np.argmax(dist))
-    seed = (idx % w, idx // w)
-
-    first = fast_march(np.ones((h, w)), m, seed)
+    first = fast_march(np.ones((h, w)), m, (idx % w, idx // w))
     end_a = argmax_field(first)
 
     # Second wave: potential (d_max / d)^exponent is 1 at the deepest voxels
@@ -65,6 +70,7 @@ def _extract_full(mask, exponent: float = DEFAULT_EXPONENT) -> CenterlineResult:
             f"potential ({d_max:g} / d) ** {exponent:g} overflows"
         )
     second = fast_march(potential, m, end_a)
+    del potential  # not needed by the stages below; free it before they allocate
     end_b = argmax_field(second)
 
     # The pipeline built this field itself, so a stall is its own failure
@@ -73,7 +79,14 @@ def _extract_full(mask, exponent: float = DEFAULT_EXPONENT) -> CenterlineResult:
         path = descend(second, end_b)
     except ValidationError as err:
         raise AlgorithmError(f"centerline descent failed at exponent {exponent:g}: {err}") from err
-    return CenterlineResult(path=path, distance_map=dist, first_wave=first, second_wave=second)
+
+    plan = labels = None
+    if k is not None:
+        plan = sample_cut_points(path, k)
+        labels = _subdivide(m, path, [cut.index for cut in plan])
+        if balance:
+            labels = balance_areas(labels, k, second)
+    return _Record(dist, first, second, path, plan, labels)
 
 
 def extract_centerline(mask, exponent: float = DEFAULT_EXPONENT):
@@ -93,5 +106,17 @@ def extract_centerline(mask, exponent: float = DEFAULT_EXPONENT):
         If the descent stalls on the second wave's arrival times, as it
         can at large exponents.
     """
-    result = _extract_full(mask, exponent)
-    return result.path, result.second_wave
+    record = _run(check_mask(mask, require_nonempty=True), exponent)
+    return record.path, record.second_wave
+
+
+def subdivide_equal(mask, k: int, exponent: float = DEFAULT_EXPONENT, balance: bool = True) -> np.ndarray:
+    """Split a connected region into ``k`` equal-area parts along its shape.
+
+    Composition of centerline extraction, cut planning, cut labeling, and
+    area balancing. Returns an int32 label map with labels 1..k (0 for
+    background and, when the region's area is not divisible by k, the few
+    trimmed voxels).
+    """
+    m = check_mask(mask, require_nonempty=True)
+    return _run(m, exponent, check_positive_int(k, "k"), balance).labels

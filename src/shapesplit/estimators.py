@@ -12,8 +12,7 @@ import inspect
 
 import numpy as np
 
-from .centerline import DEFAULT_EXPONENT, _extract_full
-from .subdivision import _cut_and_balance
+from .centerline import DEFAULT_EXPONENT, _run, extract_centerline
 from .validation import check_mask, check_positive_int
 
 
@@ -67,18 +66,17 @@ class CenterlineExtractor(BaseEstimator):
         self.exponent = exponent
 
     def fit(self, X, y=None):
-        result = _extract_full(check_mask(X), self.exponent)
-        self.path_ = np.asarray(result.path, dtype=np.int64)
-        self.endpoints_ = (result.path[0], result.path[-1])
-        self.distance_map_ = result.distance_map
-        self.first_arrival_ = result.first_wave.values
-        self.second_arrival_ = result.second_wave.values
+        record = _run(check_mask(X, require_nonempty=True), self.exponent)
+        self.path_ = np.asarray(record.path, dtype=np.int64)
+        self.endpoints_ = (record.path[0], record.path[-1])
+        self.distance_map_ = record.distance_map
+        self.first_arrival_ = record.first_wave.values
+        self.second_arrival_ = record.second_wave.values
         return self
 
     def transform(self, X) -> np.ndarray:
         """Centerline of ``X`` as an (L, 2) int array; stateless."""
-        result = _extract_full(check_mask(X), self.exponent)
-        return np.asarray(result.path, dtype=np.int64)
+        return np.asarray(extract_centerline(X, self.exponent)[0], dtype=np.int64)
 
     def fit_transform(self, X, y=None) -> np.ndarray:
         self.fit(X)
@@ -118,15 +116,13 @@ class EqualAreaSubdivider(BaseEstimator):
     def fit(self, X, y=None):
         mask = check_mask(X, require_nonempty=True)
         k = check_positive_int(self.n_regions, "n_regions")
-        result = _extract_full(mask, self.exponent)
-        plan, labels = _cut_and_balance(mask, result, k, self.balance)
-
-        self.labels_ = labels
-        self.centerline_ = np.asarray(result.path, dtype=np.int64)
-        self.cut_plan_ = plan
-        self.distance_map_ = result.distance_map
-        self.first_arrival_ = result.first_wave.values
-        self.second_arrival_ = result.second_wave.values
+        record = _run(mask, self.exponent, k, self.balance)
+        self.labels_ = labels = record.labels
+        self.cut_plan_ = record.plan
+        self.centerline_ = np.asarray(record.path, dtype=np.int64)
+        self.distance_map_ = record.distance_map
+        self.first_arrival_ = record.first_wave.values
+        self.second_arrival_ = record.second_wave.values
         areas = np.bincount(labels.ravel(), minlength=k + 1)
         self.region_areas_ = areas[1 : k + 1].copy()
         self.n_trimmed_ = int(mask.sum()) - int(areas[1:].sum())

@@ -1,4 +1,4 @@
-"""Grid primitives: neighborhoods and connected-component labeling.
+"""Grid primitives: the neighbor order and connected-component labeling.
 
 Coordinates are ``(x, y)`` pairs on a ``width x height`` grid; arrays are
 indexed ``[y, x]``. Everything outside the grid counts as background.
@@ -13,29 +13,11 @@ from __future__ import annotations
 
 import numpy as np
 
-from .validation import check_connectivity, check_coord, check_dims, check_mask
+from .validation import check_connectivity, check_mask
 
-# Fixed neighbor order: N, S, W, E, then NW, NE, SW, SE. All tie-breaking
-# over neighbors anywhere in the library follows this order.
-NEIGHBOR_STEPS_4 = ((0, -1), (0, 1), (-1, 0), (1, 0))
-NEIGHBOR_STEPS_8 = NEIGHBOR_STEPS_4 + ((-1, -1), (1, -1), (-1, 1), (1, 1))
-
-
-def neighbors(coord, dims, connectivity: int = 4) -> list[tuple[int, int]]:
-    """In-bounds neighbors of ``coord`` on a ``dims = (width, height)`` grid.
-
-    The result order is fixed (north, south, west, east, then the four
-    diagonals for 8-connectivity), with out-of-bounds positions skipped.
-    """
-    width, height = check_dims(dims)
-    x, y = check_coord(coord, (height, width))
-    conn = check_connectivity(connectivity)
-    steps = NEIGHBOR_STEPS_4 if conn == 4 else NEIGHBOR_STEPS_8
-    return [
-        (x + dx, y + dy)
-        for dx, dy in steps
-        if 0 <= x + dx < width and 0 <= y + dy < height
-    ]
+# Fixed neighbor order: N, S, W, E, then NW, NE, SW, SE. ``descend`` breaks
+# ties between neighbors in this order.
+NEIGHBOR_STEPS_8 = ((0, -1), (0, 1), (-1, 0), (1, 0), (-1, -1), (1, -1), (-1, 1), (1, 1))
 
 
 def is_connected(region: np.ndarray) -> bool:

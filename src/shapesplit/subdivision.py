@@ -1,4 +1,4 @@
-"""Subdivision of a connected region into equal-area, shape-following parts.
+"""Cuts and balancing: a region split into equal-area parts along its centerline.
 
 Cuts are one-voxel-thick digital lines placed perpendicular to the
 centerline at evenly spaced path positions. Each cut severs the region;
@@ -23,7 +23,6 @@ from typing import NamedTuple
 
 import numpy as np
 
-from .centerline import DEFAULT_EXPONENT, CenterlineResult, _extract_full
 from .exceptions import BalanceError, CutError, ValidationError
 from .grid import _label_runs, is_connected
 from .validation import (
@@ -494,25 +493,3 @@ def balance_areas(labels, k: int, arrival) -> np.ndarray:
         raise BalanceError(f"balance failed; region areas: {_area_report(areas, k)}")
     _check_pieces(parts.lab, k)
     return lab
-
-
-def subdivide_equal(mask, k: int, exponent: float = DEFAULT_EXPONENT, balance: bool = True) -> np.ndarray:
-    """Split a connected region into ``k`` equal-area parts along its shape.
-
-    Composition of centerline extraction, cut planning, cut labeling, and
-    area balancing. Returns an int32 label map with labels 1..k (0 for
-    background and, when the region's area is not divisible by k, the few
-    trimmed voxels).
-    """
-    k = check_positive_int(k, "k")
-    m = check_mask(mask, require_nonempty=True)
-    return _cut_and_balance(m, _extract_full(m, exponent), k, balance)[1]
-
-
-def _cut_and_balance(mask: np.ndarray, centerline: CenterlineResult, k: int, balance: bool):
-    """``(plan, labels)``: cuts planned along ``centerline``, applied to ``mask``, balanced if asked."""
-    plan = sample_cut_points(centerline.path, k)
-    labels = _subdivide(mask, centerline.path, [cut.index for cut in plan])
-    if balance:
-        labels = balance_areas(labels, k, centerline.second_wave)
-    return plan, labels

@@ -75,6 +75,15 @@ class TestSubdivideCommand:
         assert "not connected" in capsys.readouterr().err
         assert not out.exists()
 
+    def test_output_directory_exits_1_and_leaves_no_part_file(self, rect_pgm, tmp_path, capsys):
+        out = tmp_path / "out"
+        out.mkdir()
+        code = main(["subdivide", "--input", str(rect_pgm), "--k", "4", "--output", str(out)])
+        assert code == 1
+        assert "shapesplit: error:" in capsys.readouterr().err
+        assert out.is_dir() and not list(out.iterdir())
+        assert not (tmp_path / "out.part").exists()
+
     def test_dump_artifacts(self, rect_pgm, tmp_path):
         out = tmp_path / "out.pgm"
         dump = tmp_path / "dump"

@@ -223,6 +223,19 @@ class TestDescend:
         vals = [u[y, x] for x, y in path]
         assert all(a > b for a, b in zip(vals, vals[1:]))
 
+    @pytest.mark.parametrize("first", range(7))
+    def test_ties_step_to_the_first_neighbor_in_order(self, first):
+        # the start's 8-neighbors in the fixed N, S, W, E, NW, NE, SW, SE
+        # order; from ``first`` on they tie for the smallest value
+        order = [(0, -1), (0, 1), (-1, 0), (1, 0), (-1, -1), (1, -1), (-1, 1), (1, 1)]
+        values = np.zeros((5, 5))
+        values[2, 2] = 3.0
+        for i, (dx, dy) in enumerate(order):
+            values[2 + dy, 2 + dx] = 2.0 if i < first else 1.0
+        path = descend(ArrivalField(values=values, source=(0, 0)), (2, 2))
+        dx, dy = order[first]
+        assert path[:2] == [(2, 2), (2 + dx, 2 + dy)]
+
     def test_stuck_at_local_minimum(self):
         values = np.full((2, 2), np.inf)
         values[1, 1] = 5.0

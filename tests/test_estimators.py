@@ -1,7 +1,7 @@
 import numpy as np
 import pytest
 
-from shapesplit import CenterlineExtractor, EqualAreaSubdivider, ValidationError
+from shapesplit import CenterlineExtractor, EqualAreaSubdivider, ValidationError, subdivide_equal
 
 
 def rect_mask():
@@ -67,6 +67,27 @@ class TestEqualAreaSubdivider:
     def test_invalid_n_regions(self):
         with pytest.raises(ValidationError):
             EqualAreaSubdivider(n_regions=0).fit(rect_mask())
+
+
+class TestFacadeParity:
+    """``subdivide_equal`` and ``EqualAreaSubdivider.fit`` reject bad input alike."""
+
+    @pytest.mark.parametrize("mask, k, exponent, balance", [
+        (np.zeros((16, 64), dtype=bool), 0, 6.0, True),
+        (np.ones((2, 16, 64), dtype=bool), 0, 6.0, True),
+        (rect_mask(), 0, 6.0, True),
+        (rect_mask(), True, 6.0, True),
+        (rect_mask(), 2.0, 6.0, True),
+        (rect_mask(), 4, "abc", True),
+        (rect_mask(), 4, 6.0, "no"),
+    ], ids=["empty_mask", "3d_mask", "k_zero", "k_bool", "k_float", "exponent_text", "balance_text"])
+    def test_same_error(self, mask, k, exponent, balance):
+        with pytest.raises(Exception) as by_function:
+            subdivide_equal(mask, k, exponent, balance)
+        with pytest.raises(Exception) as by_estimator:
+            EqualAreaSubdivider(n_regions=k, exponent=exponent, balance=balance).fit(mask)
+        assert type(by_function.value) is type(by_estimator.value) is ValidationError
+        assert str(by_function.value).removeprefix("k ") == str(by_estimator.value).removeprefix("n_regions ")
 
 
 class TestCenterlineExtractor:

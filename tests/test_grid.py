@@ -1,7 +1,7 @@
 import numpy as np
 import pytest
 
-from shapesplit import ValidationError, connected_components, neighbors
+from shapesplit import connected_components
 from shapesplit.grid import _label_runs, is_connected
 
 from conftest import random_mask
@@ -22,36 +22,6 @@ EDGE_SHAPES = {
     "checkerboard": np.indices((9, 10)).sum(axis=0) % 2 == 0,
     "edge_runs": _edge_runs,
 }
-
-
-class TestNeighbors:
-    def test_corner_4(self):
-        # fixed N, S, W, E order keeps only the in-bounds two
-        assert neighbors((0, 0), (3, 3), 4) == [(0, 1), (1, 0)]
-        assert set(neighbors((0, 0), (3, 3), 4)) == {(1, 0), (0, 1)}
-
-    def test_center_4(self):
-        assert neighbors((1, 1), (3, 3), 4) == [(1, 0), (1, 2), (0, 1), (2, 1)]
-
-    def test_center_8(self):
-        got = neighbors((1, 1), (3, 3), 8)
-        assert len(got) == 8
-        assert got == [(1, 0), (1, 2), (0, 1), (2, 1), (0, 0), (2, 0), (0, 2), (2, 2)]
-
-    def test_out_of_bounds(self):
-        with pytest.raises(ValidationError):
-            neighbors((3, 0), (3, 3), 4)
-        with pytest.raises(ValidationError):
-            neighbors((0, -1), (3, 3), 4)
-
-    def test_bad_connectivity(self):
-        with pytest.raises(ValidationError):
-            neighbors((0, 0), (3, 3), 6)
-
-    def test_order_stable_across_calls(self):
-        a = neighbors((2, 3), (8, 8), 8)
-        b = neighbors((2, 3), (8, 8), 8)
-        assert a == b
 
 
 class TestConnectedComponents:

@@ -80,6 +80,11 @@ class TestReadMask:
         with pytest.raises(PGMParseError, match="sample"):
             read_mask(b"P2\n1 1\n5\n6\n")
 
+    def test_binary_sample_above_maxval(self):
+        with pytest.raises(PGMParseError) as exc:
+            read_mask(b"P5\n2 1\n1\n\x00\x02")
+        assert str(exc.value) == "sample 2 exceeds maxval 1 (byte offset 10)"
+
     def test_non_integer_header(self):
         with pytest.raises(PGMParseError, match="integer"):
             read_mask(b"P2\nxx 1\n255\n0\n")
@@ -235,6 +240,10 @@ class TestFieldCsv:
     def test_malformed_field_rejected(self, data):
         with pytest.raises(ValidationError):
             read_field_csv(data)
+
+    def test_empty_field_file_rejected(self):
+        with pytest.raises(ValidationError, match="^empty field file$"):
+            read_field_csv(b"")
 
 
 class TestRegionStats:

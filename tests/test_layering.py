@@ -1,0 +1,39 @@
+"""The stage modules never import the pipeline composition above them."""
+
+import ast
+from pathlib import Path
+
+import pytest
+
+import shapesplit
+
+PACKAGE = Path(shapesplit.__file__).parent
+STAGES = ("grid", "distance", "eikonal", "subdivision")
+ABOVE = {"centerline", "estimators", "cli"}
+
+
+def imported_names(source: str) -> set[str]:
+    """Every dotted name an import in ``source`` mentions, and each of its parts."""
+    names = set()
+    for node in ast.walk(ast.parse(source)):
+        if isinstance(node, ast.Import):
+            dotted = [alias.name for alias in node.names]
+        elif isinstance(node, ast.ImportFrom):
+            dotted = [node.module or ""] + [f"{node.module or ''}.{alias.name}" for alias in node.names]
+        else:
+            continue
+        for name in dotted:
+            names.update(part for part in name.split(".") if part)
+    return names
+
+
+def test_imported_names_sees_every_import_form():
+    source = "import shapesplit.cli\nfrom . import estimators\nfrom .centerline import _run\n"
+    assert ABOVE <= imported_names(source)
+    assert not ABOVE & imported_names("from .validation import check_mask\nimport numpy as np\n")
+
+
+@pytest.mark.parametrize("stage", STAGES)
+def test_stage_does_not_import_the_composition(stage):
+    above = ABOVE & imported_names((PACKAGE / f"{stage}.py").read_text())
+    assert not above, f"{stage}.py imports {sorted(above)}"

@@ -211,6 +211,12 @@ class TestSubdivide:
         with pytest.raises(ValidationError, match="region not connected"):
             subdivide(mask, [(0, 0), (1, 0)], [])
 
+    def test_path_outside_region_rejected(self):
+        mask = np.ones((5, 12), dtype=bool)
+        path = [(i, i) for i in range(6)]  # (5, 5) is below the last row
+        with pytest.raises(ValidationError, match=r"^path voxel \(5, 5\) lies outside the region$"):
+            subdivide(mask, path, [])
+
 
 class TestSubdividePlan:
     # a 20-voxel centerline down the middle row of a 3x20 rectangle
@@ -577,3 +583,13 @@ class TestSubdivideEqual:
         a = subdivide_equal(mask, 4)
         b = subdivide_equal(mask, 4)
         assert np.array_equal(a, b)
+
+    @pytest.mark.parametrize("balance", ["no", "", 1, 0, None, 1.0])
+    def test_non_bool_balance_rejected(self, balance):
+        with pytest.raises(ValidationError, match=r"^balance must be True or False, got "):
+            subdivide_equal(np.ones((16, 64), dtype=bool), 4, balance=balance)
+
+    def test_numpy_bool_balance_accepted(self):
+        mask = np.ones((5, 13), dtype=bool)
+        assert np.array_equal(subdivide_equal(mask, 2, balance=np.False_), subdivide_equal(mask, 2, balance=False))
+        assert np.array_equal(subdivide_equal(mask, 2, balance=np.True_), subdivide_equal(mask, 2))

@@ -2,7 +2,7 @@ import numpy as np
 import pytest
 
 from shapesplit import ValidationError, balance_areas, fast_march, region_stats, write_labelmap
-from shapesplit.validation import check_coord, check_dims, check_path
+from shapesplit.validation import check_coord, check_dims, check_exponent, check_labelmap, check_mask, check_path
 
 
 class TestIntegerCoercion:
@@ -51,3 +51,23 @@ class TestLabelRange:
         labels = np.array([[0, 2**31 - 1]], dtype=np.int64)
         (s,) = region_stats(labels)
         assert s.label == 2**31 - 1
+
+
+class TestMessages:
+    @pytest.mark.parametrize("call, message", [
+        (lambda: check_dims((0, 3)), "grid dimensions must be >= 1, got 0x3"),
+        (lambda: check_dims((16384, 8192)),
+         "grid of 16384x8192 = 134217728 voxels exceeds the cap of 67108864"),
+        (lambda: check_mask(np.ones((2, 2, 2), dtype=bool)), "mask must be 2D, got 3 dimension(s)"),
+        (lambda: check_labelmap(np.zeros(3, dtype=int)), "label map must be 2D, got 1 dimension(s)"),
+        (lambda: check_labelmap(np.zeros((2, 2))), "label map must have an integer dtype, got float64"),
+        (lambda: check_labelmap(np.array([[0, -1]])), "label map contains negative labels"),
+        (lambda: check_path([]), "path must contain at least one voxel"),
+        (lambda: check_path([(0, 0), (1, 0), (0, 0)]), "path repeats a voxel"),
+        (lambda: check_exponent("abc"), "exponent must be a real number, got 'abc'"),
+    ], ids=["dims_zero", "dims_over_cap", "mask_3d", "labels_1d", "labels_float", "labels_negative",
+            "path_empty", "path_repeat", "exponent_text"])
+    def test_message(self, call, message):
+        with pytest.raises(ValidationError) as exc:
+            call()
+        assert str(exc.value) == message
