@@ -19,7 +19,7 @@ from typing import NamedTuple
 import numpy as np
 
 from .distance import euclidean_distance_map
-from .eikonal import ArrivalField, argmax_field, descend, fast_march
+from .eikonal import ArrivalField, _graph, _march, _on_grid, _weights, descend
 from .exceptions import AlgorithmError, ValidationError
 from .grid import connected_components
 from .subdivision import Cut, _subdivide, balance_areas, sample_cut_points
@@ -49,29 +49,36 @@ def _run(m: np.ndarray, exponent, k: int | None = None, balance=True) -> _Record
         raise ValidationError(f"region not connected ({count} components)")
 
     dist = euclidean_distance_map(m)
-    h, w = m.shape
+    w = m.shape[1]
 
-    # Deepest voxel seeds the first wave (row-major tie-break; background
-    # is 0 so a plain argmax lands inside the region).
-    idx = int(np.argmax(dist))
-    first = fast_march(np.ones((h, w)), m, (idx % w, idx // w))
-    end_a = argmax_field(first)
+    # Both waves run on one voxel graph of the region: compact arrays over
+    # its voxels, numbered in row-major order, so an argmax over them keeps
+    # the grid's row-major tie-break.
+    nbr = _graph(m)
+    depth = dist[m]
+    src = int(np.argmax(depth))  # the deepest voxel seeds the first wave
+    u1 = _march(nbr, _weights(np.ones(depth.size)), src)
+    end_a = int(np.argmax(u1))
 
     # Second wave: potential (d_max / d)^exponent is 1 at the deepest voxels
     # and large near the boundary, so arrival cost accumulates slowly along
     # the middle of the region.
-    d_max = float(dist.max())
-    potential = np.ones((h, w))
+    d_max = float(depth.max())
     with np.errstate(over="ignore"):
-        potential[m] = (d_max / dist[m]) ** exponent
+        potential = (d_max / depth) ** exponent
+    del depth
     if not np.isfinite(potential).all():
         raise ValidationError(
             f"exponent {exponent:g} is too large for this region: the second wave's "
             f"potential ({d_max:g} / d) ** {exponent:g} overflows"
         )
-    second = fast_march(potential, m, end_a)
-    del potential  # not needed by the stages below; free it before they allocate
-    end_b = argmax_field(second)
+    u2 = _march(nbr, _weights(potential), end_a)
+    del nbr, potential  # not needed by the stages below; free them before they allocate
+    ends = [src, end_a, int(np.argmax(u2))]
+    src, end_a, end_b = ((i % w, i // w) for i in np.flatnonzero(m)[ends].tolist())
+    first = ArrivalField(_on_grid(u1, m), src)
+    second = ArrivalField(_on_grid(u2, m), end_a)
+    del u1, u2
 
     # The pipeline built this field itself, so a stall is its own failure
     # (large exponents leave too little precision between arrival times).

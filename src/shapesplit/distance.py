@@ -10,12 +10,18 @@ The row pass then takes the definition itself,
 ``p = x`` already gives ``g[y, x]^2``, so a column can only do better when
 ``|x - p| <= g[y, x]``, and a window as wide as the deepest ``g`` in the
 rows at hand misses no candidate.
+
+Both passes run on the bounding box of the true voxels only. This is exact:
+the box's own off-array ring is background, just as the grid's is, and any
+background voxel farther out is no closer to a voxel in the box than its
+projection onto that ring.
 """
 
 from __future__ import annotations
 
 import numpy as np
 
+from .grid import _box
 from .validation import check_mask
 
 # Rows per row-pass block: each block scans only as far as its own deepest
@@ -35,7 +41,10 @@ def euclidean_distance_map(mask) -> np.ndarray:
         If the mask contains no true voxel.
     """
     m = check_mask(mask, require_nonempty=True)
-    return np.sqrt(_squared_distance_map(m).astype(np.float64))
+    box = _box(m)
+    out = np.zeros(m.shape)
+    np.sqrt(_squared_distance_map(m[box]), out=out[box])
+    return out
 
 
 def _squared_distance_map(mask: np.ndarray) -> np.ndarray:

@@ -12,6 +12,17 @@ the discrete fixed point that Sethian's fast marching also computes (up to
 the last bit, where the two-sided root does not round monotonically).
 Small potential values mean fast propagation.
 
+The rounds run on the domain's voxel graph, not on the grid. ``_graph``
+numbers the domain's voxels in row-major order and tabulates each one's W,
+E, N and S neighbour ids; id n, one past the last voxel, is a sentinel that
+stands for every neighbour off the domain. The sentinel's arrival time and
+potential are +inf, so its update is never an improvement and no round
+needs to filter it out. ``_march`` runs on compact arrays of n + 1 values,
+and ``centerline`` builds one table for both of its waves. Each update
+takes the same operands through the same operations that a solver on the
+grid itself would, and reads only the previous round's values, so neither
+the numbering nor the order of the active list moves a bit of the result.
+
 ``descend`` walks from a voxel to the source by repeatedly stepping to the
 8-neighbor with the smallest arrival time, which recovers the discrete
 minimal path.
@@ -58,9 +69,12 @@ def fast_march(potential, domain, source) -> ArrivalField:
 
     Each round recomputes, with array operations, the upwind update of every
     domain voxel next to one that improved in the round before, and writes
-    the values that improve. Updates are computed from the previous round's
-    values only, so the result does not depend on the order of the active
-    list and is bit-identical across runs.
+    the values that improve. The rounds run on the domain's voxel graph
+    (``_graph``), whose missing neighbours are a sentinel that never
+    improves, and the result is expanded to the grid at the end. Updates
+    are computed from the previous round's values only, so the result does
+    not depend on the order of the active list and is bit-identical across
+    runs.
     """
     dom2d = check_mask(domain)
     h, w = dom2d.shape
@@ -68,44 +82,80 @@ def fast_march(potential, domain, source) -> ArrivalField:
     sx, sy = check_coord(source, (h, w))
     if not dom2d[sy, sx]:
         raise ValidationError(f"source ({sx}, {sy}) is not inside the domain")
-    vals = pot2d[dom2d]
-    if not np.isfinite(vals).all() or (vals <= 0).any():
-        raise ValidationError("potential must be positive and finite on the domain")
+    weights = _weights(pot2d[dom2d])
+    # Voxel ids are row-major ranks among the domain's voxels.
+    src = int(np.count_nonzero(dom2d[:sy])) + int(np.count_nonzero(dom2d[sy, :sx]))
+    return ArrivalField(values=_on_grid(_march(_graph(dom2d), weights, src), dom2d), source=(sx, sy))
 
-    # Pad by one voxel so that every neighbour index is in range; padding
-    # and off-domain voxels are never updated, stay +inf and get potential 0.
-    pw = w + 2
-    live = np.pad(dom2d, 1).ravel()
-    pot = np.pad(np.where(dom2d, pot2d, 0.0), 1).ravel()
-    pot2 = 2.0 * pot * pot
-    u = np.full(live.size, _INF)
-    src = (sy + 1) * pw + sx + 1
+
+def _graph(domain: np.ndarray) -> np.ndarray:
+    """The ``(4, n + 1)`` table of W, E, N and S neighbour ids of a domain's n voxels.
+
+    Voxels are numbered in row-major order. Id ``n`` is the sentinel: it
+    stands for every neighbour off the domain, and its own neighbours are
+    itself.
+    """
+    h, w = domain.shape
+    n = int(np.count_nonzero(domain))
+    ids = np.full((h + 2, w + 2), n, dtype=np.intp)
+    ids[1:-1, 1:-1][domain] = np.arange(n)
+    nbr = np.empty((4, n + 1), dtype=np.intp)
+    nbr[:, n] = n
+    for row, (dy, dx) in enumerate(((1, 0), (1, 2), (0, 1), (2, 1))):
+        nbr[row, :n] = ids[dy : dy + h, dx : dx + w][domain]
+    return nbr
+
+
+def _weights(v: np.ndarray) -> np.ndarray:
+    """Rows ``v`` and ``2 v**2`` over the graph's voxels, +inf for the sentinel.
+
+    ``v`` is the potential per voxel in id order; it must be positive and
+    finite. With potential +inf the sentinel can never improve.
+    """
+    if not np.isfinite(v).all() or (v <= 0).any():
+        raise ValidationError("potential must be positive and finite on the domain")
+    out = np.empty((2, v.size + 1))
+    out[:, v.size] = _INF
+    out[0, : v.size] = v
+    out[1, : v.size] = 2.0 * v * v
+    return out
+
+
+def _march(nbr: np.ndarray, weights: np.ndarray, src: int) -> np.ndarray:
+    """Arrival times on the graph of ``nbr`` from voxel ``src``, in id order."""
+    u = np.full(nbr.shape[1], _INF)
     u[src] = 0.0
-    live[src] = False
-    steps = np.array([-1, 1, -pw, pw])
-    stamp = np.empty(live.size, dtype=np.intp)
+    stamp = np.empty(u.size, dtype=np.intp)
     changed = np.array([src])
     with np.errstate(invalid="ignore"):
         while changed.size:
-            near = (changed[:, None] + steps).ravel()
-            near = near[live[near]]
+            near = nbr.take(changed, axis=1).ravel()
             # De-duplicate: keep each voxel where its last write landed.
             order = np.arange(near.size)
             stamp[near] = order
-            active = near[stamp[near] == order]
-            a = np.minimum(u[active - 1], u[active + 1])
-            b = np.minimum(u[active - pw], u[active + pw])
+            active = near[stamp.take(near) == order]
+            q = u.take(nbr.take(active, axis=1))
+            a = np.minimum(q[0], q[1])
+            b = np.minimum(q[2], q[3])
             gap = np.abs(a - b)
-            v = pot[active]
+            v, v2 = weights.take(active, axis=1)
             # Largest root of (U-a)+^2 + (U-b)+^2 = v^2, or the one-sided value
             # min(a, b) + v when the roots are invalid (also for an unreached axis).
-            root = 0.5 * (a + b + np.sqrt(pot2[active] - gap * gap))
+            # The source never improves (every update is positive), nor does
+            # the sentinel (its update is NaN).
+            root = 0.5 * (a + b + np.sqrt(v2 - gap * gap))
             new = np.where(gap >= v, np.minimum(a, b) + v, root)
-            better = new < u[active]
+            better = new < u.take(active)
             changed = active[better]
             u[changed] = new[better]
+    return u[:-1]
 
-    return ArrivalField(values=u.reshape(h + 2, pw)[1:-1, 1:-1].copy(), source=(sx, sy))
+
+def _on_grid(u: np.ndarray, domain: np.ndarray) -> np.ndarray:
+    """Values in id order spread over the domain's grid, +inf off the domain."""
+    out = np.full(domain.shape, _INF)
+    out[domain] = u
+    return out
 
 
 def argmax_field(field: ArrivalField) -> tuple[int, int]:

@@ -1,4 +1,4 @@
-"""Grid primitives: the neighbor order and connected-component labeling.
+"""Grid primitives: the neighbor order, bounding boxes and connected-component labeling.
 
 Coordinates are ``(x, y)`` pairs on a ``width x height`` grid; arrays are
 indexed ``[y, x]``. Everything outside the grid counts as background.
@@ -18,6 +18,12 @@ from .validation import check_connectivity, check_mask
 # Fixed neighbor order: N, S, W, E, then NW, NE, SW, SE. ``descend`` breaks
 # ties between neighbors in this order.
 NEIGHBOR_STEPS_8 = ((0, -1), (0, 1), (-1, 0), (1, 0), (-1, -1), (1, -1), (-1, 1), (1, 1))
+
+
+def _box(mask: np.ndarray) -> tuple[slice, slice]:
+    """The bounding box of a nonempty mask's true voxels, as an index."""
+    rows, cols = (np.flatnonzero(mask.any(axis)).tolist() for axis in (1, 0))
+    return np.s_[rows[0] : rows[-1] + 1, cols[0] : cols[-1] + 1]
 
 
 def is_connected(region: np.ndarray) -> bool:

@@ -24,7 +24,7 @@ from typing import NamedTuple
 import numpy as np
 
 from .exceptions import BalanceError, CutError, ValidationError
-from .grid import _label_runs, is_connected
+from .grid import _box, _label_runs, is_connected
 from .validation import (
     _as_int,
     check_coord,
@@ -90,12 +90,6 @@ def sample_cut_points(path, k: int) -> list[Cut]:
         idx = (2 * j * (length - 1) + k) // (2 * k)
         plan.append(Cut(index=idx, anchor=pts[idx], normal=_tangent(pts, idx)))
     return plan
-
-
-def _box(mask: np.ndarray) -> tuple[slice, slice]:
-    """The bounding box of a nonempty mask's true voxels, as an index."""
-    rows, cols = (np.flatnonzero(mask.any(axis)).tolist() for axis in (1, 0))
-    return np.s_[rows[0] : rows[-1] + 1, cols[0] : cols[-1] + 1]
 
 
 def _band_mask(region: np.ndarray, anchor, normal) -> np.ndarray:

@@ -1,9 +1,19 @@
 import numpy as np
 import pytest
 
-from shapesplit import AlgorithmError, ValidationError, euclidean_distance_map, extract_centerline
+from shapesplit import (
+    AlgorithmError,
+    ValidationError,
+    argmax_field,
+    descend,
+    euclidean_distance_map,
+    extract_centerline,
+    fast_march,
+    subdivide_equal,
+)
+from shapesplit.centerline import DEFAULT_EXPONENT, _run
 
-from conftest import C_ANNULUS_NOTCH_DEG, annulus_radii, make_blob
+from conftest import C_ANNULUS_NOTCH_DEG, annulus_radii, make_blob, make_c_annulus
 
 
 def test_strip_degenerates_to_itself():
@@ -89,6 +99,14 @@ def test_overflowing_exponent_rejected(c_annulus_mask):
         extract_centerline(c_annulus_mask, exponent=400)
 
 
+def test_underflowing_potential_rejected(c_annulus_mask):
+    # (d_max / d) ** -2000 is 0 away from the deepest voxels
+    with pytest.raises(ValidationError) as info:
+        subdivide_equal(c_annulus_mask, 4, exponent=-2000)
+    assert type(info.value) is ValidationError
+    assert str(info.value) == "potential must be positive and finite on the domain"
+
+
 def test_exponent_zero_still_extracts():
     mask = np.ones((8, 32), dtype=bool)
     path, _ = extract_centerline(mask, exponent=0.0)
@@ -121,3 +139,37 @@ class TestCAnnulus:
             rel = (ang - half) % 360.0
             covered[min(int(rel / (span / 17)), 16)] = True
         assert covered.all()
+
+
+@pytest.mark.parametrize(
+    "mask_fn",
+    [
+        make_c_annulus,
+        pytest.param(lambda: np.ones((40, 300), dtype=bool), id="filled_strip"),
+        pytest.param(lambda: make_blob(3), id="blob3"),
+        pytest.param(lambda: make_blob(7, size=96), id="blob7_96"),
+    ],
+)
+def test_record_matches_public_chain(mask_fn):
+    # The record's waves, ends and path are those of the public functions
+    # composed by hand, byte for byte.
+    mask = mask_fn()
+    record = _run(mask, DEFAULT_EXPONENT)
+    h, w = mask.shape
+    dist = euclidean_distance_map(mask)
+    idx = int(np.argmax(dist))
+    first = fast_march(np.ones((h, w)), mask, (idx % w, idx // w))
+    end_a = argmax_field(first)
+    potential = np.ones((h, w))
+    potential[mask] = (dist.max() / dist[mask]) ** DEFAULT_EXPONENT
+    second = fast_march(potential, mask, end_a)
+    end_b = argmax_field(second)
+    path = descend(second, end_b)
+    assert record.distance_map.tobytes() == dist.tobytes()
+    for got, want in ((record.first_wave, first), (record.second_wave, second)):
+        assert got.values.dtype == want.values.dtype and got.values.shape == want.values.shape
+        assert got.values.tobytes() == want.values.tobytes()
+        assert got.source == want.source
+    assert record.second_wave.source == end_a
+    assert record.path[0] == end_b
+    assert record.path == path

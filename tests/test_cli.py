@@ -123,6 +123,7 @@ class TestSubdivideCommand:
     @pytest.mark.parametrize("exponent, code, message", [
         ("30", 3, "stuck at non-source local minimum"),
         ("400", 2, "exponent 400 is too large"),
+        ("-2000", 2, "potential must be positive and finite on the domain"),
     ])
     def test_large_exponent_exit_codes(self, tmp_path, capsys, exponent, code, message):
         src = put_mask(tmp_path, "c.pgm", make_c_annulus())

@@ -56,6 +56,23 @@ def test_matches_brute_force_on_shapes(mask_fn):
     assert np.array_equal(euclidean_distance_map(mask), brute_force_distance_map(mask))
 
 
+@pytest.mark.parametrize("offset", [(7, 9), (0, 9), (21, 9), (7, 0), (7, 30), (0, 0), (21, 30)])
+def test_placement_in_a_larger_canvas_matches_own_crop(offset):
+    # the region's crop, placed inside a canvas or against each edge and
+    # corner: distances on the crop are those of the crop on its own
+    blob = make_blob(4, size=32)
+    ys, xs = np.nonzero(blob)
+    crop = blob[ys.min() : ys.max() + 1, xs.min() : xs.max() + 1]
+    h, w = crop.shape
+    canvas = np.zeros((h + 21, w + 30), dtype=bool)
+    y0, x0 = offset
+    canvas[y0 : y0 + h, x0 : x0 + w] = crop
+    got = euclidean_distance_map(canvas)
+    want = np.zeros(canvas.shape)
+    want[y0 : y0 + h, x0 : x0 + w] = euclidean_distance_map(crop)
+    assert np.array_equal(got, want)
+
+
 def test_zero_iff_background():
     mask = random_mask(1, size=48)
     mask[0, 0] = True  # keep nonempty

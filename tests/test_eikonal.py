@@ -1,4 +1,6 @@
+import hashlib
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -16,8 +18,31 @@ from conftest import make_blob
 from oracles import sweep_arrival
 
 
-def assert_matches_sweep(pot, domain, src):
-    """``fast_march`` agrees with the sweeping oracle; +inf in the same places."""
+# sha256 of ``fast_march(...).values.tobytes()`` on odd domains, recorded
+# with the padded-grid solver; the voxel-graph solver must match them bit
+# for bit (its sentinel neighbour and row-major numbering included).
+PINS = {
+    ("holes", 0): "853198a53cef5d13a5b31dffa3b344befef5b31960543be602fe9b93112b8f77",
+    ("holes", 1): "8b70324d82148faea63b44116c815a8ee5f17797c83e6d9903f0ffe75949e83f",
+    ("holes", 2): "702f1674454b8a68c885f8e9181062a0d581ab3dcd40c5da670a3d7241c17a50",
+    ("holes", 3): "99d771571bd1e0e8864c8a01fe853c6735124ac179db9f62606245afe0444454",
+    "unreachable": "8ccbe122da770ee2d1e12f5fc1a31fc1dab0da99160a0f421292a2c92de7f54c",
+    ("thin", (1, 1)): "af5570f5a1810b7af78caf4bc70a660f0df51e42baf91d4de5b2328de0e83dfc",
+    ("thin", (1, 17)): "261fe56f45c7bead4f78632d34afbc9da320df39964f40acb0a098b906db9202",
+    ("thin", (17, 1)): "346247663b4695710ab608375e127229ebcfef5440aa2795083e92b596594fea",
+    "annulus": "8c96f8362a84050350287eec51f83393edc2bf50b0ad85d8b01806943a0f0754",
+}
+
+
+def sha256(values):
+    return hashlib.sha256(np.ascontiguousarray(values).tobytes()).hexdigest()
+
+
+def assert_matches_sweep(pot, domain, src, pin=None):
+    """``fast_march`` agrees with the sweeping oracle; +inf in the same places.
+
+    With ``pin``, the values must also hash to ``PINS[pin]``.
+    """
     pot_before, dom_before = pot.copy(), domain.copy()
     got = fast_march(pot, domain, src).values
     assert np.array_equal(pot, pot_before) and np.array_equal(domain, dom_before)
@@ -26,6 +51,8 @@ def assert_matches_sweep(pot, domain, src):
     assert np.array_equal(np.isinf(got), np.isinf(want))
     finite = np.isfinite(want)
     assert np.abs(got[finite] - want[finite]).max() <= 1e-9
+    if pin is not None:
+        assert sha256(got) == PINS[pin]
     return got
 
 
@@ -93,7 +120,7 @@ class TestFastMarch:
         domain = rng.random((24, 28)) < 0.8
         domain[12, 14] = True
         pot = rng.uniform(0.2, 5.0, domain.shape)
-        assert_matches_sweep(pot, domain, (14, 12))
+        assert_matches_sweep(pot, domain, (14, 12), pin=("holes", seed))
 
     def test_matches_sweep_with_unreachable_components(self):
         rng = np.random.default_rng(310)
@@ -103,13 +130,13 @@ class TestFastMarch:
         domain[8:11, 5:9] = False  # a hole in the source side
         domain[0, 29] = True  # an isolated voxel
         pot = rng.uniform(0.5, 2.0, domain.shape)
-        got = assert_matches_sweep(pot, domain, (3, 3))
+        got = assert_matches_sweep(pot, domain, (3, 3), pin="unreachable")
         assert np.isinf(got[:, 16:]).all()
 
     @pytest.mark.parametrize("shape, src", [((1, 1), (0, 0)), ((1, 17), (5, 0)), ((17, 1), (0, 16))])
     def test_matches_sweep_on_thin_domains(self, shape, src):
         pot = np.random.default_rng(320).uniform(0.2, 5.0, shape)
-        got = assert_matches_sweep(pot, np.ones(shape, dtype=bool), src)
+        got = assert_matches_sweep(pot, np.ones(shape, dtype=bool), src, pin=("thin", shape))
         assert got[src[1], src[0]] == 0.0
 
     def test_matches_sweep_on_second_wave_potential(self, c_annulus_mask):
@@ -122,6 +149,7 @@ class TestFastMarch:
         box = np.s_[ys.min() : ys.max() + 1, xs.min() : xs.max() + 1]
         src = (int(xs[0]), int(ys[0]))
         got = fast_march(pot, c_annulus_mask, src).values
+        assert sha256(got) == PINS["annulus"]
         outside = np.ones(got.shape, dtype=bool)
         outside[box] = False
         assert np.isinf(got[outside]).all()
@@ -155,6 +183,19 @@ class TestFastMarch:
         a = fast_march(pot, domain, (4, 4)).values
         b = fast_march(pot, domain, (4, 4)).values
         assert np.array_equal(a, b)
+
+    def test_peak_memory_on_filled_square(self):
+        # The padded-grid solver peaked at 12.3 MiB here (about 49 bytes
+        # per voxel); the voxel graph may cost at most half as much again.
+        domain = np.ones((512, 512), dtype=bool)
+        pot = np.ones((512, 512))
+        tracemalloc.start()
+        try:
+            fast_march(pot, domain, (256, 256))
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak <= 1.5 * 12.3 * 2**20
 
 
 class TestArgmaxField:
