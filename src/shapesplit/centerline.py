@@ -21,7 +21,7 @@ import numpy as np
 from .distance import euclidean_distance_map
 from .eikonal import ArrivalField, _graph, _march, _on_grid, _weights, descend
 from .exceptions import AlgorithmError, ValidationError
-from .grid import connected_components
+from .grid import _label_runs
 from .subdivision import Cut, _subdivide, balance_areas, sample_cut_points
 from .validation import check_exponent, check_mask, check_positive_int
 
@@ -44,7 +44,7 @@ def _run(m: np.ndarray, exponent, k: int | None = None, balance=True) -> _Record
     exponent = check_exponent(exponent)
     if not isinstance(balance, (bool, np.bool_)):
         raise ValidationError(f"balance must be True or False, got {balance!r}")
-    count = connected_components(m, connectivity=4)[1]
+    count = _label_runs(m, 4)[1]
     if count != 1:
         raise ValidationError(f"region not connected ({count} components)")
 

@@ -26,11 +26,6 @@ def _box(mask: np.ndarray) -> tuple[slice, slice]:
     return np.s_[rows[0] : rows[-1] + 1, cols[0] : cols[-1] + 1]
 
 
-def is_connected(region: np.ndarray) -> bool:
-    """True when ``region`` is nonempty and 4-connected."""
-    return connected_components(region)[1] == 1
-
-
 def connected_components(mask, connectivity: int = 4) -> tuple[np.ndarray, int]:
     """``(labels, count)``: the connected components of a boolean mask, as int32 labels.
 

@@ -4,8 +4,9 @@ Cuts are one-voxel-thick digital lines placed perpendicular to the
 centerline at evenly spaced path positions. Each cut severs the region;
 labeling walks the cuts in centerline order, assigning the piece behind
 every cut before moving on. A balancing pass then equalizes the region
-areas by exchanging border voxels, and trims the division remainder from
-the last region so that all areas come out exactly equal. It keeps the
+areas by moving border strips between regions, and trims the division
+remainder from the last region as one more strip, into the background, so
+that all areas come out exactly equal. It keeps the
 areas, Euler numbers, adjacency and boxes of the parts up to date voxel by
 voxel, so no exchange rescans the grid. Connectivity is asked on bounding
 boxes: each cut on what is left to label, each band on its line, each new
@@ -24,7 +25,7 @@ from typing import NamedTuple
 import numpy as np
 
 from .exceptions import BalanceError, CutError, ValidationError
-from .grid import _box, _label_runs, is_connected
+from .grid import _box, _label_runs
 from .validation import (
     _as_int,
     check_coord,
@@ -324,21 +325,22 @@ def _removable(parts: _Parts, j: int, cand):
             y0, y1, x0, x1 = parts.boxes[j]
             rest = parts.lab[y0 : y1 + 1, x0 : x1 + 1] == j
             rest[y - y0, x - x0] = False
-            groups = 1 if is_connected(rest) else groups
+            groups = 1 if _label_runs(rest, 4)[1] == 1 else groups
         if groups == 1:
             yield y, x
 
 
 def _strip_move(parts: _Parts, give: int, take: int, limit: int, arrival) -> int:
-    """Move up to ``limit`` border voxels from ``give`` to ``take``.
+    """Move up to ``limit`` border voxels from ``give`` to ``take``; ``take`` 0 is the background.
 
-    Works off one snapshot of the border, deepest voxels first (smallest
-    arrival value, row-major on ties): repeated transfers across the same
-    border then dent its middle instead of marching along the region's
-    boundary rim, which keeps the moves shape preserving. Every move keeps
-    the donor 4-connected and nonempty; every moved voxel borders the
-    receiver, so it joins background the donor already touches and opens no
-    hole. Returns the number of voxels moved.
+    Works off one snapshot of the border, in ascending ``arrival`` order
+    (row-major on ties): with the second wave's arrival the deepest voxels go
+    first, so repeated transfers across the same border dent its middle
+    instead of marching along the region's boundary rim, which keeps the
+    moves shape preserving; the trim passes the negated arrival to take the
+    outermost first. Every move keeps the donor 4-connected and nonempty;
+    every moved voxel borders the receiver, so it joins background the donor
+    already touches and opens no hole. Returns the number of voxels moved.
     """
     if limit <= 0:
         return 0
@@ -397,13 +399,15 @@ def balance_areas(labels, k: int, arrival) -> np.ndarray:
        the region graph until regions 1..k-1 hold T voxels and region k
        holds T plus the remainder. Strips keep borders compact, so regions
        change width but keep their shape.
-    3. Trim: relabel the A mod k surplus voxels of region k to background,
-       taking the largest arrival values first, never breaking the region.
+    3. Trim: move the A mod k surplus voxels of region k to the background
+       as one strip off their shared border, largest arrival first, never
+       breaking the region or opening a hole.
 
     Every region ends 4-connected with exactly T voxels. Raises
-    BalanceError when no transfer route exists or the routed flow's
-    budget (200 k voxel moves) runs out. The steps share one ``_Parts`` state
-    updated per moved voxel: areas, Euler numbers, adjacency counts, boxes.
+    BalanceError when no transfer route exists, the routed flow's budget
+    (200 k voxel moves) runs out, or the trim's border gives too few voxels.
+    Every step moves voxels by ``_strip_move`` on one ``_Parts`` state updated
+    per moved voxel: areas, Euler numbers, adjacency counts, boxes.
     """
     k = check_positive_int(k, "k")
     lab = check_labelmap(labels).copy()
@@ -471,16 +475,10 @@ def balance_areas(labels, k: int, arrival) -> np.ndarray:
             if flow == 0:
                 break
 
-    # Trim the remainder off region k, outermost (largest second wave arrival)
-    # voxels first, rescanning one sorted list: a removal can free a voxel.
-    if leftover:
-        cand = [(int(y), int(x)) for y, x in np.argwhere(parts.lab == k)]
-        cand.sort(key=lambda yx: -arr[yx])  # stable: ties stay row-major
-        for _ in range(leftover):
-            yx = next(_removable(parts, k, cand), None)
-            if yx is None:
-                raise BalanceError(f"balance failed: cannot trim region {k} without disconnecting it")
-            parts.move(*yx, 0)
+    # Trim: a strip from region k into the background, outermost first; the
+    # padding puts the grid's outside in the background.
+    if _strip_move(parts, k, 0, leftover, -arr) < leftover:
+        raise BalanceError(f"balance failed: cannot trim region {k} without disconnecting it")
 
     lab[box] = parts.lab[1:-1, 1:-1]
     if any(areas[j] != target for j in range(1, k + 1)):

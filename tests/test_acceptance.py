@@ -28,7 +28,7 @@ from shapesplit import (
 from shapesplit.cli import main
 
 from conftest import annulus_radii, make_blob, random_mask
-from oracles import adjacent_label_pairs, brute_force_distance_map, flood_fill_components, sweep_arrival
+from oracles import adjacent_label_pairs, brute_force_distance_map, euler_number, flood_fill_components, sweep_arrival
 
 
 def report(num, name):
@@ -209,6 +209,7 @@ def test_criterion_7_partition_invariant_fuzz():
                 assert int(region.sum()) == area // k
                 assert connected(region)
             assert set(np.unique(labels).tolist()) - {0} == set(range(1, k + 1))
+            assert euler_number(labeled) == euler_number(mask)  # trimming opens no hole
     assert outcomes["ok"] > 0
     report(7, f"blob fuzz: {outcomes['ok']} valid partitions, {outcomes['error']} designated failures")
 

@@ -2,7 +2,7 @@ import numpy as np
 import pytest
 
 from shapesplit import connected_components
-from shapesplit.grid import _label_runs, is_connected
+from shapesplit.grid import _label_runs
 
 from conftest import random_mask
 from oracles import flood_fill_components
@@ -53,11 +53,11 @@ class TestConnectedComponents:
         assert count == want_count
         assert np.array_equal(got, want)
         assert got.dtype == np.int32
-        # is_connected asks for 4-connectivity
+        # one 4-connected piece is one component; an empty mask has none
         comps4, count4 = flood_fill_components(mask, 4)
-        assert is_connected(comps4 == 1)
-        assert is_connected(mask) == (count4 == 1)
-        assert not is_connected(np.zeros_like(mask))
+        assert connected_components(comps4 == 1)[1] == 1
+        assert (connected_components(mask)[1] == 1) == (count4 == 1)
+        assert connected_components(np.zeros_like(mask))[1] == 0
 
     def test_row_major_first_encounter_order(self):
         mask = random_mask(11, size=32)

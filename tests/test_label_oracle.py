@@ -3,7 +3,8 @@
 Each case pins the sha256 of the label map's int32 bytes in C order, or
 the class and message of the error raised. A change to the pipeline that moves any of
 these alters the partitions the library produces, and must do so on
-purpose.
+purpose. Every pinned label map is also checked to be a valid partition of
+its mask, so no pin can hold a broken one.
 """
 
 import hashlib
@@ -14,6 +15,7 @@ import pytest
 from shapesplit import ShapeSplitError, subdivide_equal
 
 from conftest import make_blob, make_c_annulus
+from oracles import euler_number, flood_fill_components
 
 EXPECTED = {
     ("rectangle_64x16", 4): "7664ad77ada592dfaf80effb532e9263ae436bbb7b6ae9f4b8246f983ec2bd6d",
@@ -80,7 +82,7 @@ EXPECTED = {
     ("blob48_19", 8): "499b595e0a07ba22035c3fd2f342f792f49b981e6c27bf661a6e419fd680cdce",
     ("blob48_20", 2): "56cd2691a7637ed5c64d47e227274904949c4476667b007e04bd786b990c3a07",
     ("blob48_20", 5): "BalanceError",
-    ("blob48_20", 8): "baab04da9719adb25a6f956f5d2f3f156dbbdd47e53550957c4ff13a2965182b",
+    ("blob48_20", 8): "cde99b8703f0bfa64f8c75034ea615b8da998d4ff07c141cc0719bdf0eef19db",
     ("blob48_21", 2): "272d290a5e6ad4bceda9c7f4253bc2eee4229c092e2f27607fd27b77e577efd3",
     ("blob48_21", 5): "CutError",
     ("blob48_21", 8): "BalanceError",
@@ -88,7 +90,7 @@ EXPECTED = {
     ("blob48_22", 5): "4479664feb20545b919c2b956e61f9f8b30dc8dbd8d2ef2b3b8025b6a355ac61",
     ("blob48_22", 8): "e6b5a4951147a4ee6bc14186ca3ae6204422fa2ffbd4da365c4b93cc68b9fdf3",
     ("blob48_23", 2): "d58a1ca4c2d2be65815ccf71dd144d3ca84dc0ff08d2b80373543aca1848042d",
-    ("blob48_23", 5): "f362d078fffdad8ef51530a6cebb448000c43753d9894b5c635a93d7f2f9a368",
+    ("blob48_23", 5): "f98b371febc0dd0eb52bf4f0f3aa58cc56d951f67850bd9bd584c01d919422e5",
     ("blob48_23", 8): "be048f6f1c442d51ed362814568e42d6e10309549ae083529acc6ed21fa39738",
     ("blob48_24", 2): "b501ab078eb4098cef6f359b0bec12b0f6ba04e4c14c3cf44599125b260ea949",
     ("blob48_24", 5): "10702ea869e2e04aa7a006915e954f0d58edd5cbdf8c110aa68ea3237c59f9ec",
@@ -101,7 +103,7 @@ EXPECTED = {
     ("blob96_1", 8): "1b0ba20dcdd7f994447e5058c351bad8de98c84168bc51d5be0c76e4c8da5070",
     ("blob96_2", 2): "8df9833e8168ea4ac3e2c86686ade5a27f3d523e28d91194aac591eb2b1990b4",
     ("blob96_2", 5): "e86d5ea68387a6bb2da06532a1bf71fa3f13822ba7cbafebc0047883a9609d78",
-    ("blob96_2", 8): "addb459652c4119fcab5d1c56123c5c1143fa535f6e6007de70688bd6de5280a",
+    ("blob96_2", 8): "baf5dda791b890b2c7f9c08c0d97886f975cc00b3a6a874c7aed9db37004163b",
     ("blob96_3", 2): "b31ab40964943fec301e4ba5033ebd72625ccda3ac922f4ba4eb720d8a736759",
     ("blob96_3", 5): "0776b9d997cae63d69edededb5199d3e06e52868e6d9b00af6ebea10eb904d36",
     ("blob96_3", 8): "de72f31609e81928de7689453f5cb20ea2345c68dd0e93b4b652840155a3b371",
@@ -123,7 +125,33 @@ EXPECTED = {
     ("strip_64x512", 4): "dc6bdcc1bf2516cb854463dbb28b15efa1d6e8f84ba5803dd24c9e0963f8f3da",
 }
 
-# The message of every error case above.
+# Filled strips one to three voxels wide, where balancing and the trim move
+# one layer of a part; every case succeeds. On 1- and 2-voxel-wide strips
+# the trim can cut the labeled voxels in two, so the Euler check is left out.
+THIN_STRIPS = {
+    ("strip_1x200", 2): "5fd98a60c552e9c0913b1086240f0368e8de9ccc921c2aba66d77bff12d4daf3",
+    ("strip_1x200", 3): "4d9ef5097c6b472d53c614f6fda5a10c2e4964edf999cfc609df33600bf8cefa",
+    ("strip_1x200", 5): "6abaea24f01c8aea8d8b3bbef5f444b52169f93843c625c7791b6a7dc7a20ea0",
+    ("strip_1x200", 7): "d445cab1e4b7be78e4bffd5f5c1545e5bbbc6c10aa901e632a56663f9947d176",
+    ("strip_1x200", 9): "a3ab7e82068979662d644acf7f280f51e6a31cace0ba059d5643df4227a22b10",
+    ("strip_2x200", 2): "0c4f0c96f76b329a0e7cd4015f3e3c33d8fa6e54e021f02845a740ea91f366b5",
+    ("strip_2x200", 3): "76ecafc82b42217299587eae4bdd549577cc1b19ce768bd72238511e24b41264",
+    ("strip_2x200", 5): "7f825f9689a8676eea7b4eb3feb8cca67effd1d993c4460d663b97d6b7ac07d5",
+    ("strip_2x200", 7): "3649b204fdc8eeb14373b8f8bf125d0e4251934b1bd26b1caf805a057f2b407a",
+    ("strip_2x200", 9): "19167f7855c23aac6cbebc99bfd0a89840272bef90239892ea06c6efd534bcdb",
+    ("strip_3x97", 2): "cb29a9fae681037ee32e88bb36a8724b36c6ed4fc81c294bc8cb5204698ecbf4",
+    ("strip_3x97", 3): "d54ba9af2047e44b80cd5c65dcda301f216b7fbdf00928fc70c3958ca633f23c",
+    ("strip_3x97", 5): "a764d4468a2d6ff993342dcaac5bbd5f78e76b0239ff816b988a86fb74a51df9",
+    ("strip_3x97", 7): "0f43929ba9d271e2cae3a74e3b726f0ae17a38a1cd73b80ccb904309335b2f2f",
+    ("strip_3x97", 9): "4ab7f48ca105f7bd66be62822e393e1ae84fb24f32d821ec5a0c151ba18f9b0c",
+    ("strip_1x61", 2): "b72f4e30a2bbece8efcb2167cc6b7c2fddb93c56a382c7f05f4df1f3fd753194",
+    ("strip_1x61", 3): "18085fbc526e7ee50f2482134c8ac1ec9ed8dbe791df8dc764170368cb5e053b",
+    ("strip_1x61", 5): "185ee5b2ef9df1f3541ebff1ceac9ba76b0b1d326fc649f304ac085575ca8845",
+    ("strip_1x61", 7): "ce883b55218bad7a1317156d32ff25d7130cf2c2228de4d741ce5d813b731f2e",
+    ("strip_1x61", 9): "50db5a22cd4f9b87633c94304fd9c4e3c364cd29922904988087f66619ef0069",
+}
+
+# The message of every error case in EXPECTED.
 MESSAGES = {
     ("blob48_3", 8): "balance failed: region 8 is not 4-connected",
     ("blob48_11", 8): "cut failed at segment 7",
@@ -145,6 +173,22 @@ MESSAGES = {
 }
 
 
+def _assert_valid_partition(mask: np.ndarray, labels: np.ndarray, k: int) -> None:
+    """Labels 1..k inside the mask, each part floor(A/k) voxels in one 4-connected piece, A mod k trimmed."""
+    area = int(mask.sum())
+    assert not labels[~mask].any()
+    assert set(np.unique(labels[mask]).tolist()) <= set(range(k + 1))
+    for j in range(1, k + 1):
+        part = labels == j
+        assert part.sum() == area // k
+        assert flood_fill_components(part, 4)[1] == 1
+    assert (mask & (labels == 0)).sum() == area % k
+
+
+def _sha256(labels: np.ndarray) -> str:
+    return hashlib.sha256(np.ascontiguousarray(labels, dtype=np.int32).tobytes()).hexdigest()
+
+
 def _mask(name: str) -> np.ndarray:
     if name == "rectangle_64x16":
         return np.ones((16, 64), dtype=bool)
@@ -159,14 +203,25 @@ def _mask(name: str) -> np.ndarray:
 
 @pytest.mark.parametrize("name, k", list(EXPECTED))
 def test_label_map_pinned(name, k):
+    mask = _mask(name)
     try:
-        labels = subdivide_equal(_mask(name), k)
+        labels = subdivide_equal(mask, k)
     except ShapeSplitError as err:
         outcome = type(err).__name__
         assert str(err) == MESSAGES[(name, k)]
     else:
-        outcome = hashlib.sha256(np.ascontiguousarray(labels, dtype=np.int32).tobytes()).hexdigest()
+        _assert_valid_partition(mask, labels, k)
+        assert euler_number(labels > 0) == euler_number(mask)  # the trim opens no hole
+        outcome = _sha256(labels)
     assert outcome == EXPECTED[(name, k)]
+
+
+@pytest.mark.parametrize("name, k", list(THIN_STRIPS))
+def test_thin_strip_pinned(name, k):
+    mask = _mask(name)
+    labels = subdivide_equal(mask, k)
+    _assert_valid_partition(mask, labels, k)
+    assert _sha256(labels) == THIN_STRIPS[(name, k)]
 
 
 def test_every_error_case_has_its_message():

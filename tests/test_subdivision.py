@@ -403,6 +403,22 @@ class TestBalanceAreas:
         assert areas_of(out, 2) == [4, 4]
         assert out[0, 8] == 0  # largest x + y in region 2
 
+    def test_trim_takes_only_voxels_on_the_background(self):
+        # Pair equalizing moves (0, 4) to region 1; region 2 then trims one
+        # voxel. Its largest arrival is at (1, 6), enclosed by region 2, so
+        # trimming it would open a hole: the trim takes (0, 8), the largest
+        # arrival on region 2's border with the background.
+        labels = np.zeros((3, 9), dtype=np.int32)
+        labels[:, 0:4] = 1
+        labels[:, 4:9] = 2
+        arrival = np.ones(labels.shape)
+        arrival[1, 6] = 100.0
+        arrival[0, 8] = 50.0
+        out = balance_areas(labels, 2, arrival)
+        assert areas_of(out, 2) == [13, 13]
+        assert np.argwhere(out == 0).tolist() == [[0, 8]]
+        assert euler_number(out > 0) == 1
+
 
 def one_part(region):
     """``region`` as part 1 of a balancing state, on its grid padded by one voxel."""
