@@ -19,7 +19,7 @@ from typing import NamedTuple
 import numpy as np
 
 from .distance import euclidean_distance_map
-from .eikonal import ArrivalField, _graph, _march, _on_grid, _weights, descend
+from .eikonal import ArrivalField, argmax_field, descend, fast_march
 from .exceptions import AlgorithmError, ValidationError
 from .grid import _label_runs
 from .subdivision import Cut, _subdivide, balance_areas, sample_cut_points
@@ -49,36 +49,25 @@ def _run(m: np.ndarray, exponent, k: int | None = None, balance=True) -> _Record
         raise ValidationError(f"region not connected ({count} components)")
 
     dist = euclidean_distance_map(m)
-    w = m.shape[1]
-
-    # Both waves run on one voxel graph of the region: compact arrays over
-    # its voxels, numbered in row-major order, so an argmax over them keeps
-    # the grid's row-major tie-break.
-    nbr = _graph(m)
-    depth = dist[m]
-    src = int(np.argmax(depth))  # the deepest voxel seeds the first wave
-    u1 = _march(nbr, _weights(np.ones(depth.size)), src)
-    end_a = int(np.argmax(u1))
+    y, x = divmod(int(np.argmax(dist)), m.shape[1])  # the deepest voxel seeds the first wave
+    first = fast_march(np.ones(m.shape), m, (x, y))
+    end_a = argmax_field(first)
 
     # Second wave: potential (d_max / d)^exponent is 1 at the deepest voxels
     # and large near the boundary, so arrival cost accumulates slowly along
     # the middle of the region.
-    d_max = float(depth.max())
+    d_max = float(dist[y, x])
+    potential = np.ones(m.shape)
     with np.errstate(over="ignore"):
-        potential = (d_max / depth) ** exponent
-    del depth
+        potential[m] = (d_max / dist[m]) ** exponent
     if not np.isfinite(potential).all():
         raise ValidationError(
             f"exponent {exponent:g} is too large for this region: the second wave's "
             f"potential ({d_max:g} / d) ** {exponent:g} overflows"
         )
-    u2 = _march(nbr, _weights(potential), end_a)
-    del nbr, potential  # not needed by the stages below; free them before they allocate
-    ends = [src, end_a, int(np.argmax(u2))]
-    src, end_a, end_b = ((i % w, i // w) for i in np.flatnonzero(m)[ends].tolist())
-    first = ArrivalField(_on_grid(u1, m), src)
-    second = ArrivalField(_on_grid(u2, m), end_a)
-    del u1, u2
+    second = fast_march(potential, m, end_a)
+    del potential  # free it before the stages below allocate
+    end_b = argmax_field(second)
 
     # The pipeline built this field itself, so a stall is its own failure
     # (large exponents leave too little precision between arrival times).

@@ -51,14 +51,12 @@ def _squared_distance_map(mask: np.ndarray) -> np.ndarray:
     h, w = mask.shape
 
     # Vertical pass: per column, row distance to the nearest background,
-    # counting the off-grid rows just above and below the grid.
-    g = np.empty((h, w), dtype=np.int64)
-    g[0] = np.where(mask[0], 1, 0)
-    for y in range(1, h):
-        g[y] = np.where(mask[y], g[y - 1] + 1, 0)
-    np.minimum(g[h - 1], np.where(mask[h - 1], 1, 0), out=g[h - 1])
-    for y in range(h - 2, -1, -1):
-        np.minimum(g[y], g[y + 1] + 1, out=g[y])
+    # counting the off-grid rows -1 and h just above and below the grid: the
+    # nearest background row at or above each voxel, and at or below it.
+    rows = np.arange(h, dtype=np.int64)[:, None]
+    above = np.maximum.accumulate(np.where(mask, -1, rows), axis=0)
+    below = np.minimum.accumulate(np.where(mask, h, rows)[::-1], axis=0)[::-1]
+    g = np.minimum(rows - above, below - rows)
 
     # Row pass, in place over g. Padding each block with r zero columns per
     # side puts the off-grid background at columns -1 and w; the zero

@@ -17,11 +17,12 @@ numbers the domain's voxels in row-major order and tabulates each one's W,
 E, N and S neighbour ids; id n, one past the last voxel, is a sentinel that
 stands for every neighbour off the domain. The sentinel's arrival time and
 potential are +inf, so its update is never an improvement and no round
-needs to filter it out. ``_march`` runs on compact arrays of n + 1 values,
-and ``centerline`` builds one table for both of its waves. Each update
-takes the same operands through the same operations that a solver on the
-grid itself would, and reads only the previous round's values, so neither
-the numbering nor the order of the active list moves a bit of the result.
+needs to filter it out. ``_march`` runs on compact arrays of n + 1 values.
+The graph is private to ``fast_march``, which builds it on each call and
+spreads the arrival times over the grid at the end. Each update takes the
+same operands through the same operations that a solver on the grid itself
+would, and reads only the previous round's values, so neither the numbering
+nor the order of the active list moves a bit of the result.
 
 ``descend`` walks from a voxel to the source by repeatedly stepping to the
 8-neighbor with the smallest arrival time, which recovers the discrete
@@ -36,7 +37,6 @@ from dataclasses import dataclass
 import numpy as np
 
 from .exceptions import ValidationError
-from .grid import NEIGHBOR_STEPS_8
 from .validation import check_coord, check_mask, check_scalar_field
 
 _INF = float("inf")
@@ -82,10 +82,22 @@ def fast_march(potential, domain, source) -> ArrivalField:
     sx, sy = check_coord(source, (h, w))
     if not dom2d[sy, sx]:
         raise ValidationError(f"source ({sx}, {sy}) is not inside the domain")
-    weights = _weights(pot2d[dom2d])
+    v = pot2d[dom2d]
+    if not np.isfinite(v).all() or (v <= 0).any():
+        raise ValidationError("potential must be positive and finite on the domain")
+    # Rows v and 2 v**2 per voxel id; with potential +inf the sentinel never
+    # improves. Neither ``v`` nor the output grid is held during the march,
+    # where the memory peaks.
+    weights = np.full((2, v.size + 1), _INF)
+    weights[0, :-1] = v
+    weights[1, :-1] = 2.0 * v * v
+    del v
     # Voxel ids are row-major ranks among the domain's voxels.
     src = int(np.count_nonzero(dom2d[:sy])) + int(np.count_nonzero(dom2d[sy, :sx]))
-    return ArrivalField(values=_on_grid(_march(_graph(dom2d), weights, src), dom2d), source=(sx, sy))
+    u = _march(_graph(dom2d), weights, src)
+    values = np.full((h, w), _INF)
+    values[dom2d] = u
+    return ArrivalField(values=values, source=(sx, sy))
 
 
 def _graph(domain: np.ndarray) -> np.ndarray:
@@ -104,21 +116,6 @@ def _graph(domain: np.ndarray) -> np.ndarray:
     for row, (dy, dx) in enumerate(((1, 0), (1, 2), (0, 1), (2, 1))):
         nbr[row, :n] = ids[dy : dy + h, dx : dx + w][domain]
     return nbr
-
-
-def _weights(v: np.ndarray) -> np.ndarray:
-    """Rows ``v`` and ``2 v**2`` over the graph's voxels, +inf for the sentinel.
-
-    ``v`` is the potential per voxel in id order; it must be positive and
-    finite. With potential +inf the sentinel can never improve.
-    """
-    if not np.isfinite(v).all() or (v <= 0).any():
-        raise ValidationError("potential must be positive and finite on the domain")
-    out = np.empty((2, v.size + 1))
-    out[:, v.size] = _INF
-    out[0, : v.size] = v
-    out[1, : v.size] = 2.0 * v * v
-    return out
 
 
 def _march(nbr: np.ndarray, weights: np.ndarray, src: int) -> np.ndarray:
@@ -151,13 +148,6 @@ def _march(nbr: np.ndarray, weights: np.ndarray, src: int) -> np.ndarray:
     return u[:-1]
 
 
-def _on_grid(u: np.ndarray, domain: np.ndarray) -> np.ndarray:
-    """Values in id order spread over the domain's grid, +inf off the domain."""
-    out = np.full(domain.shape, _INF)
-    out[domain] = u
-    return out
-
-
 def argmax_field(field: ArrivalField) -> tuple[int, int]:
     """Coordinate of the largest finite arrival time, row-major tie-break."""
     u = check_scalar_field(field.values)
@@ -167,6 +157,11 @@ def argmax_field(field: ArrivalField) -> tuple[int, int]:
     idx = int(np.argmax(np.where(finite, u, -1.0)))
     h, w = u.shape
     return idx % w, idx // w
+
+
+# Fixed neighbor order: N, S, W, E, then NW, NE, SW, SE. ``descend`` breaks
+# ties between neighbors in this order.
+NEIGHBOR_STEPS_8 = ((0, -1), (0, 1), (-1, 0), (1, 0), (-1, -1), (1, -1), (-1, 1), (1, 1))
 
 
 def descend(field: ArrivalField, start) -> list[tuple[int, int]]:

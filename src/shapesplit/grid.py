@@ -1,4 +1,4 @@
-"""Grid primitives: the neighbor order, bounding boxes and connected-component labeling.
+"""Grid primitives: bounding boxes and connected-component labeling.
 
 Coordinates are ``(x, y)`` pairs on a ``width x height`` grid; arrays are
 indexed ``[y, x]``. Everything outside the grid counts as background.
@@ -14,10 +14,6 @@ from __future__ import annotations
 import numpy as np
 
 from .validation import check_connectivity, check_mask
-
-# Fixed neighbor order: N, S, W, E, then NW, NE, SW, SE. ``descend`` breaks
-# ties between neighbors in this order.
-NEIGHBOR_STEPS_8 = ((0, -1), (0, 1), (-1, 0), (1, 0), (-1, -1), (1, -1), (-1, 1), (1, 1))
 
 
 def _box(mask: np.ndarray) -> tuple[slice, slice]:

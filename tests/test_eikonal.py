@@ -83,6 +83,10 @@ class TestFastMarch:
         with pytest.raises(ValidationError):
             fast_march(np.ones((3, 3)), domain, (2, 2))
 
+    def test_source_off_the_grid(self):
+        with pytest.raises(ValidationError, match=r"^coordinate \(3, 0\) out of bounds for 3x3 grid$"):
+            fast_march(np.ones((3, 3)), np.ones((3, 3), dtype=bool), (3, 0))
+
     def test_nonpositive_potential_rejected(self):
         domain = np.ones((2, 2), dtype=bool)
         pot = np.ones((2, 2))

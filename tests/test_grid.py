@@ -1,7 +1,7 @@
 import numpy as np
 import pytest
 
-from shapesplit import connected_components
+from shapesplit import ValidationError, connected_components
 from shapesplit.grid import _label_runs
 
 from conftest import random_mask
@@ -83,6 +83,10 @@ class TestConnectedComponents:
         labels, count = connected_components(np.array([[0, 2], [3, 0]]), 4)
         assert count == 2
         assert labels.tolist() == [[0, 1], [2, 0]]
+
+    def test_unknown_connectivity_rejected(self):
+        with pytest.raises(ValidationError, match="^connectivity must be 4 or 8, got 6$"):
+            connected_components(np.ones((2, 2), dtype=bool), 6)
 
 
 class TestLabelRuns:

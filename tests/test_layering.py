@@ -37,3 +37,13 @@ def test_imported_names_sees_every_import_form():
 def test_stage_does_not_import_the_composition(stage):
     above = ABOVE & imported_names((PACKAGE / f"{stage}.py").read_text())
     assert not above, f"{stage}.py imports {sorted(above)}"
+
+
+def test_centerline_uses_only_public_wave_steps():
+    # The voxel graph is private to ``fast_march``: the pipeline composes the
+    # public wave steps and imports no underscore name from ``eikonal``.
+    private = set()
+    for node in ast.walk(ast.parse((PACKAGE / "centerline.py").read_text())):
+        if isinstance(node, ast.ImportFrom) and (node.module or "").split(".")[-1] == "eikonal":
+            private.update(alias.name for alias in node.names if alias.name.startswith("_"))
+    assert not private, f"centerline.py imports {sorted(private)} from .eikonal"

@@ -419,6 +419,14 @@ class TestBalanceAreas:
         assert np.argwhere(out == 0).tolist() == [[0, 8]]
         assert euler_number(out > 0) == 1
 
+    def test_trim_without_a_border_on_the_background_fails(self):
+        # Region 2 (25 voxels, one to trim) is enclosed by region 1 (24
+        # voxels), so no voxel of it touches the background.
+        labels = np.ones((7, 7), dtype=np.int32)
+        labels[1:-1, 1:-1] = 2
+        with pytest.raises(BalanceError, match="^balance failed: cannot trim region 2 without disconnecting it$"):
+            balance_areas(labels, 2, np.ones((7, 7)))
+
 
 def one_part(region):
     """``region`` as part 1 of a balancing state, on its grid padded by one voxel."""
