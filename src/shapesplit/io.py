@@ -15,6 +15,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .exceptions import PGMParseError, ValidationError
+from .grid import _box
 from .validation import MAX_VOXELS, check_labelmap, check_mask, check_scalar_field
 
 # A token is a run of bytes that are neither whitespace nor ``#``; a ``#``
@@ -22,6 +23,9 @@ from .validation import MAX_VOXELS, check_labelmap, check_mask, check_scalar_fie
 # whitespace and comments before one token, which is empty only at the end.
 _TOKEN = re.compile(rb"(?:[ \t\n\r\x0b\x0c]|#[^\n]*)*([^ \t\n\r\x0b\x0c#]*)")
 _COMMENT = re.compile(rb"#[^\n]*")
+# Integers are ASCII decimal; the sign is there so that a negative header
+# value is reported as out of range rather than as no integer.
+_DECIMAL = re.compile(rb"-?[0-9]+")
 
 
 def _token(tok: re.Match, what: str) -> bytes:
@@ -30,12 +34,19 @@ def _token(tok: re.Match, what: str) -> bytes:
     return tok[1]
 
 
+def _decimal(text: bytes) -> int | None:
+    """``text`` as an ASCII decimal integer, or None when it is not one."""
+    try:
+        return int(text) if _DECIMAL.fullmatch(text) else None
+    except ValueError:  # more digits than int() converts
+        return None
+
+
 def _int_token(tok: re.Match, what: str, lo: int, hi: int) -> int:
     text, off = _token(tok, what), tok.start(1)
-    try:
-        value = int(text)
-    except ValueError:
-        raise PGMParseError(f"expected an integer for {what}, got {text[:20]!r}", offset=off) from None
+    value = _decimal(text)
+    if value is None:
+        raise PGMParseError(f"expected an integer for {what}, got {text[:20]!r}", offset=off)
     if not lo <= value <= hi:
         raise PGMParseError(f"{what} {value} outside allowed range {lo}..{hi}", offset=off)
     return value
@@ -60,19 +71,18 @@ def _parse_pgm(data: bytes) -> tuple[int, int, int, np.ndarray]:
 
     if magic == b"P2":
         # Without comments, the raster's tokens are what bytes.split yields:
-        # it splits on the same six whitespace bytes.
+        # it splits on the same six whitespace bytes. A raster holds few
+        # distinct tokens: parse each once.
         raster = data[pos:]
         if b"#" in raster:
             raster = _COMMENT.sub(b" ", raster)
-        try:
-            samples = np.array(list(map(int, raster.split(None, count)[:count])), dtype=np.int64)
-            valid = samples.size == count and 0 <= samples.min() and samples.max() <= maxval
-        except (ValueError, OverflowError):
-            valid = False
-        if not valid:  # name the first bad sample at its offset
+        words = raster.split(None, count)[:count]
+        value = {word: _decimal(word) for word in set(words)}
+        if len(words) == count and all(v is not None and 0 <= v <= maxval for v in value.values()):
+            samples = np.fromiter(map(value.__getitem__, words), np.int32, count)
+        else:  # name the first bad sample at its offset
             for _, tok in zip(range(count), tokens):
                 _int_token(tok, "sample", 0, maxval)
-        samples = samples.astype(np.int32)
     else:
         if pos >= len(data) or data[pos] not in b" \t\n\r\x0b\x0c":
             raise PGMParseError("expected a single whitespace byte after maxval", offset=pos)
@@ -108,11 +118,29 @@ def read_labelmap(data: bytes) -> np.ndarray:
 
 
 def _lines(values: np.ndarray, fmt, sep: str) -> str:
-    """One line per row of ``values``: ``sep`` joins cells, ``fmt`` formats each distinct value once."""
+    """One line per row of ``values``: ``sep`` joins cells, ``fmt`` formats each distinct value once.
+
+    Cell (0, 0) is the fill. Only the box of cells that differ from it is
+    formatted cell by cell; the rows around the box, and each box row's
+    cells to its left and right, repeat the fill's text.
+    """
+    h, w = values.shape
+    if not values.size:  # no cell to take the fill from
+        return "\n" * max(h, 1)
+    first = values[0, 0]
+    fill = fmt(first.item())
+    row = sep.join([fill] * w) + "\n"
+    differs = values != first
+    if not differs.any():
+        return row * h
+    rows, cols = _box(differs)
+    box = values[rows, cols]
     # return_index selects numpy's stable sort, several times faster on mostly-background grids
-    distinct, _, inverse = np.unique(values, return_index=True, return_inverse=True)
+    distinct, _, inverse = np.unique(box, return_index=True, return_inverse=True)
     table = np.array(list(map(fmt, distinct.tolist())), dtype=object)
-    return "\n".join(map(sep.join, table[inverse.reshape(values.shape)].tolist())) + "\n"
+    left, right = (fill + sep) * cols.start, (sep + fill) * (w - cols.stop) + "\n"
+    body = [left + sep.join(cells) + right for cells in table[inverse.reshape(box.shape)].tolist()]
+    return row * rows.start + "".join(body) + row * (h - rows.stop)
 
 
 def _write_pgm(values: np.ndarray, maxval: int) -> bytes:
@@ -157,14 +185,17 @@ def read_field_csv(data: bytes) -> np.ndarray:
         raise ValidationError("empty field file")
     if len({line.count(",") for line in lines}) > 1:
         raise ValidationError("field rows differ in length")
-    # A field holds few distinct values: parse each distinct cell once.
-    cells = ",".join(lines).split(",")
+    # A field repeats whole rows and holds few distinct values: parse each
+    # distinct line, and each distinct cell, once.
+    index = {line: i for i, line in enumerate(dict.fromkeys(lines))}
+    cells = ",".join(index).split(",")
     try:
         value = {cell: float(cell) for cell in set(cells)}
     except ValueError:
         raise ValidationError("field file holds a value that is not a number") from None
-    field = np.fromiter(map(value.__getitem__, cells), np.float64, len(cells))
-    return check_scalar_field(field.reshape(len(lines), -1))
+    table = np.fromiter(map(value.__getitem__, cells), np.float64, len(cells)).reshape(len(index), -1)
+    field = table[np.fromiter(map(index.__getitem__, lines), np.intp, len(lines))]
+    return check_scalar_field(field)
 
 
 @dataclass(frozen=True)

@@ -20,6 +20,25 @@ from shapesplit import (
 from conftest import make_blob, make_c_annulus, random_mask
 
 
+def on_fill(fill, inside):
+    """Grids of ``fill`` holding cells of ``inside`` where a writer that formats
+    only the box of cells unlike cell (0, 0) could go wrong."""
+    h, w = inside.shape
+    masks = np.zeros((8, h, w), dtype=bool)
+    masks[0, :3, 2:5] = True  # touches the top edge
+    masks[1, -3:, 2:5] = True  # the bottom edge
+    masks[2, 2:5, :3] = True  # the left edge
+    masks[3, 2:5, -3:] = True  # the right edge
+    masks[4, h // 2, :] = masks[4, :, w // 2] = True  # all four edges, not cell (0, 0)
+    masks[5, :3, :4] = True  # covers cell (0, 0), so the fill is a region value
+    masks[6, h // 2, w // 2] = True  # a single cell
+    # masks[7] stays empty: an all-fill grid
+    grids = [np.where(m, inside, fill) for m in masks]
+    row, col = np.full((1, w), fill, inside.dtype), np.full((h, 1), fill, inside.dtype)
+    row[0, 3:6], col[2:4, 0] = inside[0, 3:6], inside[2:4, 0]
+    return grids + [row, col]
+
+
 class TestReadMask:
     def test_plain_two_samples(self):
         mask = read_mask(b"P2\n2 1 255\n0 7\n")
@@ -114,6 +133,8 @@ class TestReadMask:
             (b"P2\n3 1\n1\n0 2 x\n", "sample 2 outside allowed range 0..1", 11),
             (b"P2\n2 1\n1\n0 99999999999999999999999\n", "sample 99999999999999999999999 outside allowed range 0..1", 11),
             (b"P2\n2 1\n1\n0 \xff\n", "expected an integer for sample, got b'\\xff'", 11),
+            (b"P2\n2 1\n1\n+1 0", "expected an integer for sample, got b'+1'", 9),
+            (b"P2\n2 1\n1_0\n1_0 0", "expected an integer for maxval, got b'1_0'", 7),
         ],
     )
     def test_malformed_message_and_offset(self, data, message, offset):
@@ -161,11 +182,14 @@ class TestWriteLabelmap:
         rng = np.random.default_rng(top)
         labels = np.where(rng.random((9, 14)) < 0.1, rng.integers(1, top + 1, (9, 14)), 0)
         labels[4, 6] = top  # sparse: a few voxels, one of them the top label
-        rows = "".join(" ".join(map(str, row)) + "\n" for row in labels.tolist())
-        assert write_labelmap(labels) == f"P2\n14 9\n{top}\n{rows}".encode("ascii")
+        for grid in [labels] + on_fill(0, rng.integers(1, top + 1, (9, 14))):
+            (h, w), maxval = grid.shape, max(int(grid.max()), 1)
+            rows = "".join(" ".join(map(str, row)) + "\n" for row in grid.tolist())
+            assert write_labelmap(grid) == f"P2\n{w} {h}\n{maxval}\n{rows}".encode("ascii")
 
     def test_mask_matches_per_row_reference(self):
-        for mask in (random_mask(2, size=11), np.zeros((3, 5), dtype=bool), np.ones((1, 4), dtype=bool)):
+        masks = [random_mask(2, size=11), np.zeros((3, 5), dtype=bool), np.ones((1, 4), dtype=bool)]
+        for mask in masks + on_fill(False, np.ones((9, 14), dtype=bool)):
             h, w = mask.shape
             rows = "".join(" ".join(map(str, row)) + "\n" for row in mask.astype(int).tolist())
             assert write_mask(mask) == f"P2\n{w} {h}\n1\n{rows}".encode("ascii")
@@ -198,6 +222,8 @@ class TestFieldCsv:
             rng.random((1, 23)) * 50.0,
             rng.random((23, 1)) * 50.0,
             np.arange(1, 61, dtype=np.float64).reshape(6, 10) / 7.0,  # all cells distinct
+            *on_fill(np.inf, rng.random((9, 14)) * 50.0),  # finite cells on an inf fill
+            *on_fill(-0.0, np.where(rng.random((9, 14)) < 0.5, 0.0, 2.5)),  # -0.0 fill, 0.0 elsewhere
         ]
 
     def test_matches_per_cell_reference(self):
@@ -231,6 +257,12 @@ class TestFieldCsv:
         field[rng.random((9, 11)) < 0.1] = np.inf
         back = read_field_csv(write_field_csv(field))
         assert np.array_equal(back, field)
+
+    def test_empty_grids(self):
+        # no cell to take a fill from: one empty line per row, and one for no rows
+        assert write_field_csv(np.zeros((3, 0))) == b"\n\n\n"
+        assert write_field_csv(np.zeros((0, 2))) == b"\n"
+        assert write_labelmap(np.zeros((0, 4), dtype=np.int32)) == b"P2\n4 0\n1\n\n"
 
     def test_nan_rejected(self):
         with pytest.raises(ValidationError):

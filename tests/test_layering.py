@@ -1,4 +1,5 @@
-"""The stage modules never import the pipeline composition above them."""
+"""The stage modules, and the file formats and checks they share, never
+import the pipeline composition above them."""
 
 import ast
 from pathlib import Path
@@ -8,7 +9,7 @@ import pytest
 import shapesplit
 
 PACKAGE = Path(shapesplit.__file__).parent
-STAGES = ("grid", "distance", "eikonal", "subdivision")
+STAGES = ("grid", "distance", "eikonal", "subdivision", "io", "validation")
 ABOVE = {"centerline", "estimators", "cli"}
 
 
