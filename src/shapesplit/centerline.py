@@ -22,7 +22,7 @@ from .distance import euclidean_distance_map
 from .eikonal import ArrivalField, argmax_field, descend, fast_march
 from .exceptions import AlgorithmError, ValidationError
 from .grid import _label_runs
-from .subdivision import Cut, _subdivide, balance_areas, sample_cut_points
+from .subdivision import Cut, _plan_cuts, _subdivide, balance_areas
 from .validation import check_exponent, check_mask, check_positive_int
 
 # Exponent applied to the depth ratio when shaping the second wave's
@@ -78,7 +78,7 @@ def _run(m: np.ndarray, exponent, k: int | None = None, balance=True) -> _Record
 
     plan = labels = None
     if k is not None:
-        plan = sample_cut_points(path, k)
+        plan = _plan_cuts(path, k)
         labels = _subdivide(m, path, [cut.index for cut in plan])
         if balance:
             labels = balance_areas(labels, k, second)

@@ -26,6 +26,9 @@ _COMMENT = re.compile(rb"#[^\n]*")
 # Integers are ASCII decimal; the sign is there so that a negative header
 # value is reported as out of range rather than as no integer.
 _DECIMAL = re.compile(rb"-?[0-9]+")
+# 65535, the largest maxval, has five digits; a longer sample is in range
+# only with leading zeros.
+_SAMPLE_DIGITS = 5
 
 
 def _token(tok: re.Match, what: str) -> bytes:
@@ -52,6 +55,34 @@ def _int_token(tok: re.Match, what: str, lo: int, hi: int) -> int:
     return value
 
 
+def _p2_samples(raster: bytes, count: int, maxval: int) -> np.ndarray | None:
+    """The first ``count`` tokens of a comment-free ``raster`` as int32 samples, without a call per token.
+
+    None when the raster holds fewer tokens, or one of them is not 1 to
+    ``_SAMPLE_DIGITS`` ASCII digits or exceeds ``maxval``; what follows the
+    last sample is not read.
+    """
+    byte = np.frombuffer(raster, dtype=np.uint8)
+    solid = np.zeros(byte.size + 2, dtype=bool)  # token bytes, framed by two blanks
+    solid[1:-1] = (byte - np.uint8(9) > 4) & (byte != 32)  # whitespace is bytes 9-13 and 32
+    edges = np.flatnonzero(solid[1:] != solid[:-1])  # token starts and ends, alternating
+    if edges.size < 2 * count:
+        return None
+    starts, ends = edges[0 : 2 * count : 2], edges[1 : 2 * count : 2]
+    digits = int((ends - starts).max())
+    if digits > _SAMPLE_DIGITS:
+        return None
+    # Bytes minus b"0": a token byte that is no digit comes out above 9 (uint8 wraps).
+    digit = byte[: ends[-1]] - np.uint8(48)
+    if ((digit > 9) & solid[1 : digit.size + 1]).any():
+        return None
+    samples = digit[ends - 1].astype(np.int32)
+    for place in range(1, digits):  # tens, hundreds, ... where a token reaches that far
+        at = ends - 1 - place
+        samples += np.where(at >= starts, digit.take(at, mode="clip"), 0).astype(np.int32) * 10**place
+    return samples if samples.max() <= maxval else None
+
+
 def _parse_pgm(data: bytes) -> tuple[int, int, int, np.ndarray]:
     tokens = _TOKEN.finditer(data)
     tok = next(tokens)
@@ -70,19 +101,15 @@ def _parse_pgm(data: bytes) -> tuple[int, int, int, np.ndarray]:
     count = width * height
 
     if magic == b"P2":
-        # Without comments, the raster's tokens are what bytes.split yields:
-        # it splits on the same six whitespace bytes. A raster holds few
-        # distinct tokens: parse each once.
+        # A comment ends a token as whitespace does, so with each comment
+        # blanked the tokens are the runs of bytes other than whitespace.
         raster = data[pos:]
         if b"#" in raster:
             raster = _COMMENT.sub(b" ", raster)
-        words = raster.split(None, count)[:count]
-        value = {word: _decimal(word) for word in set(words)}
-        if len(words) == count and all(v is not None and 0 <= v <= maxval for v in value.values()):
-            samples = np.fromiter(map(value.__getitem__, words), np.int32, count)
-        else:  # name the first bad sample at its offset
-            for _, tok in zip(range(count), tokens):
-                _int_token(tok, "sample", 0, maxval)
+        samples = _p2_samples(raster, count, maxval)
+        if samples is None:  # token by token, naming the first bad sample at its offset
+            values = [_int_token(tok, "sample", 0, maxval) for _, tok in zip(range(count), tokens)]
+            samples = np.array(values, dtype=np.int32)
     else:
         if pos >= len(data) or data[pos] not in b" \t\n\r\x0b\x0c":
             raise PGMParseError("expected a single whitespace byte after maxval", offset=pos)

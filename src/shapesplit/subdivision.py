@@ -8,9 +8,12 @@ areas by moving border strips between regions, and trims the division
 remainder from the last region as one more strip, into the background, so
 that all areas come out exactly equal. It keeps the
 areas, Euler numbers, adjacency and boxes of the parts up to date voxel by
-voxel, so no exchange rescans the grid. Connectivity is asked on bounding
-boxes: each cut on what is left to label, each band on its line, each new
-part on its own box; one labeling of the label map checks all parts at once.
+voxel, so no exchange rescans the grid. Connectivity is asked at the size
+of the question: each cut labels what is left to label on its bounding box,
+a band grows from its anchor over the few voxels per row that its line can
+hold, a new part is one piece when every 4-piece of its band touches the
+piece behind the cut, and one labeling of the label map checks all parts
+at once.
 
 Regions use 4-connectivity, paths and cut bands 8-connectivity; an
 8-connected band 4-separates the plane, which is what makes one-voxel cuts
@@ -78,8 +81,11 @@ def sample_cut_points(path, k: int) -> list[Cut]:
     least ``2k + 1`` voxels so every anchor is interior and cuts are
     distinct; ``k = 1`` yields an empty plan.
     """
-    pts = check_path(path)
-    k = check_positive_int(k, "k")
+    return _plan_cuts(check_path(path), check_positive_int(k, "k"))
+
+
+def _plan_cuts(pts: list[tuple[int, int]], k: int) -> list[Cut]:
+    """``sample_cut_points`` on a path and k that are already validated."""
     length = len(pts)
     # k = 1 needs no anchors, so any path length is fine
     if k > 1 and length < 2 * k + 1:
@@ -93,23 +99,76 @@ def sample_cut_points(path, k: int) -> list[Cut]:
     return plan
 
 
-def _band_mask(region: np.ndarray, anchor, normal) -> np.ndarray:
-    """Digital-line band through ``anchor`` perpendicular to ``normal``.
+def _grow(reached: list[int], pool: set[int], ring, w: int) -> list[int]:
+    """Extend ``reached`` by the voxels of ``pool`` it reaches by ``ring`` steps, taking them out of ``pool``.
+
+    A voxel (x, y) of a ``w``-wide grid is the number ``y (w + 1) + x``, so a
+    step (dx, dy) adds ``dy (w + 1) + dx``, and a step off either side lands
+    on the unused number ``x = w`` rather than on the next row.
+    """
+    steps = [dy * (w + 1) + dx for dx, dy in ring]
+    for v in reached:  # grows as the search goes
+        for p in [v + d for d in steps]:
+            if p in pool:
+                pool.remove(p)
+                reached.append(p)
+    return reached
+
+
+def _band(region: np.ndarray, anchor, normal) -> tuple[np.ndarray, np.ndarray]:
+    """``(ys, xs)`` of the digital-line band through ``anchor`` perpendicular to ``normal``.
 
     Voxels p of ``region`` with |normal . (p - anchor)| <= max(|nx|, |ny|)/2
     form the thinnest 4-separating line; of those, only the 8-connected
-    piece containing the anchor is returned, so far-away lobes that happen
-    to fall on the same line are untouched.
+    piece containing the anchor, which must lie in ``region``, is returned,
+    so far-away lobes that happen to fall on the same line are untouched.
+    The work grows with the region's side, not its area.
     """
     ax, ay = anchor
     nx, ny = float(normal[0]), float(normal[1])
-    ys, xs = np.ogrid[: region.shape[0], : region.shape[1]]
-    dot = nx * (xs - ax) + ny * (ys - ay)
-    line = region & (2.0 * np.abs(dot) <= max(abs(nx), abs(ny)))
-    rows, cols = box = _box(line)
-    comps, _ = _label_runs(line[box], 8)
-    line[box] = comps == comps[ay - rows.start, ax - cols.start]
-    return line
+    flip = abs(nx) < abs(ny)
+    if flip:  # a line nearer horizontal: walk its columns (the test's sum commutes exactly)
+        region, ax, ay, nx, ny = region.T, ay, ax, ny, nx
+    h, w = region.shape
+    # On row y the line's voxels lie within half a voxel of c = ax - (ny / nx)(y - ay),
+    # so they are floor(c) or floor(c) + 1 (rounding moves c by far less than
+    # half a voxel); the exact test below picks them out of those two.
+    rows = np.arange(h)
+    ys = rows.repeat(2)
+    xs = (np.floor(ax - ny / nx * (rows - ay)).astype(np.intp)[:, None] + (0, 1)).ravel()
+    inside = (0 <= xs) & (xs < w)
+    ys, xs = ys[inside], xs[inside]
+    on = region[ys, xs] & (2.0 * np.abs(nx * (xs - ax) + ny * (ys - ay)) <= max(abs(nx), abs(ny)))
+    start = ay * (w + 1) + ax
+    line = set((ys[on] * (w + 1) + xs[on]).tolist()) - {start}
+    ys, xs = np.divmod(np.array(_grow([start], line, _RING, w)), w + 1)
+    return (xs, ys) if flip else (ys, xs)
+
+
+def _band_mask(region: np.ndarray, anchor, normal) -> np.ndarray:
+    """``_band`` as a mask of ``region``'s shape."""
+    band = np.zeros(region.shape, dtype=bool)
+    band[_band(region, anchor, normal)] = True
+    return band
+
+
+def _joins(band: tuple[np.ndarray, np.ndarray], comps: np.ndarray, behind: int) -> bool:
+    """Whether ``band`` and the 4-piece ``comps == behind`` together form one 4-connected piece.
+
+    Two 4-pieces of the band never touch, so each reaches the rest of the
+    union only through the behind piece: the union is one piece iff every
+    4-piece of the band has a voxel 4-adjacent to it.
+    """
+    h, w = comps.shape
+    ys, xs = band
+    step_x, step_y = np.array(_RING[::2]).T
+    px, py = xs[:, None] + step_x, ys[:, None] + step_y  # each voxel's 4-neighbors
+    inside = (0 <= px) & (px < w) & (0 <= py) & (py < h)
+    near = (inside & (comps[py.clip(0, h - 1), px.clip(0, w - 1)] == behind)).any(axis=1)
+    ids = ys * (w + 1) + xs
+    rest = set(ids[~near].tolist())
+    _grow(ids[near].tolist(), rest, _RING[::2], w)
+    return not rest
 
 
 def cut_band(mask, anchor, normal) -> set[tuple[int, int]]:
@@ -180,16 +239,17 @@ def subdivide(mask, path, plan: list[Cut]) -> np.ndarray:
 def _subdivide(m: np.ndarray, pts: list[tuple[int, int]], indices: list[int]) -> np.ndarray:
     """``subdivide`` on a one-region mask, a path in it, and cut indices, all validated."""
     # Each segment is cut on the box of the unlabeled voxels, writing through
-    # to the full map: row-major order on a box is the grid's, so pieces number alike.
+    # to the full map: row-major order on a box is the grid's, so pieces number
+    # alike. The unlabeled voxels only shrink, so each box lies in the last.
     path_x, path_y = np.array(pts).T
     length = len(pts)
     k = len(indices) + 1
     max_shift = length // (4 * k)
     labels = np.zeros(m.shape, dtype=np.int32)
     working = m.copy()
+    box = _box(m)
 
     for j, index in enumerate(indices, start=1):
-        box = _box(working)
         work, y0, x0 = working[box], box[0].start, box[1].start
         on = working[path_y, path_x]  # the unlabeled path voxels, all on the box
         box_y, box_x = path_y[on] - y0, path_x[on] - x0
@@ -201,32 +261,38 @@ def _subdivide(m: np.ndarray, pts: list[tuple[int, int]], indices: list[int]) ->
             ax, ay = pts[i]
             if not working[ay, ax]:
                 continue
-            band = _band_mask(work, (ax - x0, ay - y0), _tangent(pts, i))
-            comps, ncomp = _label_runs(work & ~band, 4)
+            band = _band(work, (ax - x0, ay - y0), _tangent(pts, i))
+            rest = work.copy()
+            rest[band] = False
+            comps, ncomp = _label_runs(rest, 4)
             # Components along the path, in path order, the first behind the
             # cut; band voxels and labeled parts are off the working mask.
             along = comps[box_y, box_x]
             along = along[along > 0]
             if ncomp < 2 or along.size == 0:
                 continue
-            part = band | (comps == along[0])
-            if fallback is None:
-                fallback = part
             # Prefer a cut that (a) strands no component, since one holding no
             # centerline voxel can never be labeled by a later cut, and (b)
             # yields a 4-connected region once the band joins the behind side;
             # a diagonal band's tail can otherwise hang off the far side.
-            if np.unique(along).size == ncomp and _label_runs(part[_box(part)], 4)[1] == 1:
-                chosen = part
-                break
+            joins = np.bincount(along, minlength=ncomp + 1)[1:].all() and _joins(band, comps, along[0])
+            if joins or fallback is None:
+                part = comps == along[0]
+                part[band] = True
+                if joins:
+                    chosen = part
+                    break
+                fallback = part
         if chosen is None:
             chosen = fallback
         if chosen is None:
             raise CutError(f"cut failed at segment {j}")
         labels[box][chosen] = j
         work &= ~chosen
+        rows, cols = _box(work)
+        box = np.s_[y0 + rows.start : y0 + rows.stop, x0 + cols.start : x0 + cols.stop]
 
-    labels[working] = k
+    labels[box][working[box]] = k
     return labels
 
 
@@ -413,8 +479,8 @@ def balance_areas(labels, k: int, arrival) -> np.ndarray:
     lab = check_labelmap(labels).copy()
     arr = check_scalar_field(getattr(arrival, "values", arrival), shape=lab.shape)  # ArrivalField or array
 
-    present = set(np.unique(lab).tolist())
-    if not present <= set(range(k + 1)) or not set(range(1, k + 1)) <= present:
+    # max first: it keeps the count from sizing itself by a stray huge label
+    if not lab.size or lab.max() > k or not np.bincount(lab.ravel(), minlength=k + 1)[1:].all():
         raise ValidationError(f"label map must contain exactly labels 1..{k}")
     if not np.isfinite(arr[lab > 0]).all():
         raise ValidationError("arrival values must be finite on all labeled voxels")

@@ -17,6 +17,8 @@ from shapesplit import (
     write_mask,
 )
 
+from shapesplit import io
+
 from conftest import make_blob, make_c_annulus, random_mask
 
 
@@ -74,6 +76,52 @@ class TestReadMask:
             with pytest.raises(PGMParseError, match="integer") as exc:
                 read_mask(data)
             assert data[exc.value.offset : exc.value.offset + 1] == b"x"
+
+    @pytest.mark.parametrize("seed", range(4))
+    def test_numpy_raster_parse_matches_the_token_scan(self, seed):
+        # A P2 raster is parsed in numpy, and the graymap tokenizer reads it
+        # token by token where numpy cannot decide; both must give the same
+        # samples, or the same error at the same offset.
+        rng = np.random.default_rng(seed)
+        space = [b" ", b"\t", b"\n", b"\r", b"\x0b", b"\x0c"]
+        odd = [b"x", b"+1", b"-1", b"-0", b"1.5", b"\xff", b"\x1c", b"1a", b"1_0", b"99999999999999999999999", b"0" * 24 + b"1"]
+
+        def sep():
+            out = b"".join(rng.choice(space, size=int(rng.integers(1, 4))))
+            if rng.random() < 0.15:
+                out += b"#" + b"".join(rng.choice([b"a", b" ", b"7", b"#"], size=int(rng.integers(0, 5)))) + b"\n"
+            return out
+
+        fast = 0
+        for _ in range(150):
+            w, h = (int(v) for v in rng.integers(1, 9, size=2))
+            maxval = int(rng.choice([1, 9, 255, 1000, 65535]))
+            tokens = []
+            for v in rng.integers(0, maxval + 1, size=w * h).tolist():
+                zeros = b"0" * int(rng.integers(1, 7)) if rng.random() < 0.03 else b""
+                tokens.append(zeros + str(v).encode())
+            fault = rng.random()
+            if fault < 0.1:
+                tokens = tokens[: int(rng.integers(0, len(tokens)))]
+            elif fault < 0.3:
+                tokens[int(rng.integers(len(tokens)))] = rng.choice(odd + [str(maxval + 1).encode()])
+            tokens += [rng.choice(odd + [b"5"]) for _ in range(int(rng.integers(0, 3)))]  # ignored after the last sample
+            header = b"P2\n%d %d\n%d" % (w, h, maxval)
+            data = header + b"".join(sep() + t for t in tokens) + (sep() if rng.random() < 0.5 else b"")
+
+            scan = io._TOKEN.finditer(data, len(header))
+            try:
+                expect = [io._int_token(tok, "sample", 0, maxval) for _, tok in zip(range(w * h), scan)]
+            except PGMParseError as err:
+                expect = (str(err), err.offset)
+            try:
+                got = read_labelmap(data).ravel().tolist()
+            except PGMParseError as err:
+                got = (str(err), err.offset)
+            assert got == expect, data
+            raster = io._COMMENT.sub(b" ", data[len(header) :])
+            fast += io._p2_samples(raster, w * h, maxval) is not None
+        assert fast >= 50  # half the rasters are decided without the scan
 
     def test_bad_magic(self):
         with pytest.raises(PGMParseError, match="magic"):

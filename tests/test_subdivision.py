@@ -17,7 +17,7 @@ from shapesplit import (
 )
 from shapesplit.eikonal import ArrivalField
 from shapesplit import subdivision
-from shapesplit.subdivision import _RING, _RING_TABLE, _band_mask, _Parts, _removable
+from shapesplit.subdivision import _RING, _RING_TABLE, _band, _band_mask, _joins, _Parts, _removable
 
 from conftest import make_blob
 from oracles import adjacent_label_pairs, bit_quad_sum, euler_number, flood_fill_components
@@ -128,6 +128,46 @@ class TestCutBand:
             cut_band(np.ones((3, 3), dtype=bool), (1, 1), normal)
 
 
+def line_reference(region, anchor, normal):
+    """The band by its definition: the whole grid's line voxels, flood-filled from the anchor."""
+    (ax, ay), (nx, ny) = anchor, normal
+    yy, xx = np.mgrid[0 : region.shape[0], 0 : region.shape[1]]
+    line = region & (2.0 * np.abs(nx * (xx - ax) + ny * (yy - ay)) <= max(abs(nx), abs(ny)))
+    comps, _ = flood_fill_components(line, 8)
+    return comps == comps[ay, ax]
+
+
+def band_cases(seed, count):
+    """Regions up to 64², anchors on them and normals: integers in -4..4 and
+    floats, on random masks, blobs and rings that a line through the anchor
+    crosses twice."""
+    rng = np.random.default_rng(seed)
+    for i in range(count):
+        h, w = (int(v) for v in rng.integers(1, 65, size=2))
+        kind = i % 3
+        if kind == 0:
+            region = rng.random((h, w)) < rng.uniform(0.3, 1.0)
+        elif kind == 1:
+            region = make_blob(int(rng.integers(100)), size=48)
+        else:
+            n = int(rng.integers(16, 65))
+            yy, xx = np.mgrid[0:n, 0:n]
+            radius = np.hypot(yy - (n - 1) / 2, xx - (n - 1) / 2)
+            outer = rng.uniform(n / 4, n / 2)
+            region = (radius <= outer) & (radius >= outer - rng.uniform(1.5, 6))
+        ys, xs = np.nonzero(region)
+        if ys.size == 0:
+            continue
+        pick = rng.integers(ys.size)
+        normal = (0, 0)
+        while normal == (0, 0):
+            if rng.random() < 0.5:
+                normal = tuple(int(v) for v in rng.integers(-4, 5, size=2))
+            else:
+                normal = tuple(float(v) for v in rng.uniform(-4, 4, size=2))
+        yield region, (int(xs[pick]), int(ys[pick])), normal
+
+
 class TestBandMask:
     def test_line_box_labeling_matches_a_whole_grid_reference(self):
         # The band is labeled on the line's own bounding box; a reference
@@ -151,6 +191,61 @@ class TestBandMask:
             before = region.copy()
             assert np.array_equal(_band_mask(region, (ax, ay), normal), comps == comps[ay, ax])
             assert np.array_equal(region, before)
+
+    @pytest.mark.parametrize("seed", range(3))
+    def test_candidates_per_row_match_the_definition(self, seed):
+        # The band is picked from a few candidates per row or column of the
+        # line; the reference tests every voxel of the grid.
+        for region, anchor, normal in band_cases(seed, 120):
+            before = region.copy()
+            assert np.array_equal(_band_mask(region, anchor, normal), line_reference(region, anchor, normal))
+            assert np.array_equal(region, before)
+
+    def test_edge_normals_and_thin_grids(self):
+        normals = [(1, 1), (1, -1), (1.0, 1 - 1e-12), (1 - 1e-12, 1.0), (1e-300, 1.0), (3, 1.5), (1e6, 3), (0.1, 0.3)]
+        regions = [np.ones((1, 1), bool), np.ones((1, 40), bool), np.ones((40, 1), bool), np.ones((64, 64), bool)]
+        for region in regions:
+            h, w = region.shape
+            for anchor in {(0, 0), (w // 2, h // 2), (w - 1, h - 1)}:
+                for normal in normals:
+                    expect = line_reference(region, anchor, normal)
+                    assert np.array_equal(_band_mask(region, anchor, normal), expect), (region.shape, anchor, normal)
+
+
+def assert_join_check_matches(region, anchor, normal):
+    """``_joins`` against flood-filling the band with each piece it leaves; returns the outcomes."""
+    band = _band(region, anchor, normal)
+    band_mask = _band_mask(region, anchor, normal)
+    comps, count = flood_fill_components(region & ~band_mask, 4)
+    outcomes = []
+    for behind in range(1, count + 1):
+        expect = flood_fill_components(band_mask | (comps == behind), 4)[1] == 1
+        assert _joins(band, comps, behind) == expect, (anchor, normal, behind)
+        outcomes.append(expect)
+    return outcomes
+
+
+class TestJoins:
+    @pytest.mark.parametrize("seed", range(3))
+    def test_matches_flood_fill_on_random_cuts(self, seed):
+        outcomes = []
+        for region, anchor, normal in band_cases(100 + seed, 120):
+            outcomes += assert_join_check_matches(region, anchor, normal)
+        assert True in outcomes and False in outcomes
+
+    def test_diagonal_tail_on_the_far_side(self):
+        # The anti-diagonal x + y = 4 cuts a 5x5 square in two; without the
+        # voxel x=0, y=3, the band's end x=0, y=4 touches only the far side.
+        region = np.ones((5, 5), dtype=bool)
+        region[3, 0] = False
+        band = _band(region, (2, 2), (1, 1))
+        assert sorted(zip(*band)) == [(0, 4), (1, 3), (2, 2), (3, 1), (4, 0)]  # (y, x)
+        comps, count = flood_fill_components(region & ~_band_mask(region, (2, 2), (1, 1)), 4)
+        assert count == 2
+        near, far = comps[0, 0], comps[4, 4]
+        assert not _joins(band, comps, near)
+        assert _joins(band, comps, far)
+        assert assert_join_check_matches(region, (2, 2), (1, 1)) == [False, True]
 
 
 def areas_of(labels, k):
@@ -324,8 +419,14 @@ class TestBalanceAreas:
         labels = np.zeros((2, 4), dtype=np.int32)
         labels[:, 0:2] = 1
         labels[:, 2:4] = 3  # label 2 missing
-        with pytest.raises(ValidationError):
+        with pytest.raises(ValidationError, match=r"exactly labels 1\.\.3"):
             balance_areas(labels, 3, synthetic_arrival(labels.shape))
+        labels[0, 0] = 2  # labels 1..3 all present, and label 3 above k = 2
+        with pytest.raises(ValidationError, match=r"exactly labels 1\.\.2"):
+            balance_areas(labels, 2, synthetic_arrival(labels.shape))
+        empty = np.zeros((0, 4), dtype=np.int32)
+        with pytest.raises(ValidationError, match=r"exactly labels 1\.\.1"):
+            balance_areas(empty, 1, synthetic_arrival(empty.shape))
 
     def test_nonfinite_arrival_rejected(self):
         labels = np.ones((2, 4), dtype=np.int32)
