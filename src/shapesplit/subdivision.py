@@ -22,6 +22,7 @@ sufficient.
 
 from __future__ import annotations
 
+import math
 from itertools import islice
 from typing import NamedTuple
 
@@ -186,7 +187,10 @@ def cut_band(mask, anchor, normal) -> set[tuple[int, int]]:
         raise ValidationError(f"cut normal must be an (nx, ny) pair, got {normal!r}") from None
     if not np.isfinite((nx, ny)).all() or nx == ny == 0:
         raise ValidationError(f"cut normal must be finite and nonzero, got {normal!r}")
-    band = _band_mask(m, (x, y), (nx, ny))
+    # A power of two scales exactly: with the larger component in [0.5, 1),
+    # the band's products cannot overflow and its bits are those of any scale.
+    e = math.frexp(max(abs(nx), abs(ny)))[1]
+    band = _band_mask(m, (x, y), (math.ldexp(nx, -e), math.ldexp(ny, -e)))
     ys, xs = np.nonzero(band)
     return {(int(px), int(py)) for px, py in zip(xs, ys)}
 
@@ -322,19 +326,25 @@ def _ring_entry(pattern: int) -> tuple[int, int]:
 _RING_TABLE = [_ring_entry(pattern) for pattern in range(256)]
 
 
+def _pattern(ring: tuple[int, ...], j: int) -> int:
+    """The bit pattern of ``_ring_entry``: bit i set where ring label i is ``j``."""
+    return ((ring[0] == j) + 2 * (ring[1] == j) + 4 * (ring[2] == j) + 8 * (ring[3] == j) + 16 * (ring[4] == j)
+            + 32 * (ring[5] == j) + 64 * (ring[6] == j) + 128 * (ring[7] == j))
+
+
 class _Parts:
     """The parts of one balancing call, updated per moved voxel.
 
     ``lab`` is the labels' box padded with background, so a part voxel's
     neighbors need no bounds checks, and ``flat`` its row-major list. Per
     part: ``areas``, ``quads`` (the bit-quad sum of ``_ring_entry``, 4 iff no
-    holes) and ``boxes`` ([y0, y1, x0, x1], grown and never shrunk, so
-    covering the part). ``touch[a][b]`` counts 4-adjacent pairs labeled a, b.
+    holes) and ``boxes`` ([y0, y1, x0, x1], exact at the start, then grown and
+    never shrunk, so covering the part). ``touch[a][b]`` counts 4-adjacent
+    pairs labeled a, b.
     """
 
     def __init__(self, lab: np.ndarray, k: int):
         self.lab, self.flat, self.width = lab, lab.ravel().tolist(), lab.shape[1]
-        self.ring = [(1 << i, dy * self.width + dx) for i, (dx, dy) in enumerate(_RING)]
         self.areas = np.bincount(lab.ravel(), minlength=k + 1).tolist()
         # A quad sum is what the voxels add joining their part in row-major order.
         inner, (h, w) = lab[1:-1, 1:-1], lab.shape
@@ -345,29 +355,39 @@ class _Parts:
         touch = sum(np.bincount((a * (k + 1) + b).ravel(), minlength=(k + 1) ** 2) for a, b in pairs)
         touch = touch.reshape(k + 1, k + 1)
         self.quads, self.touch = quads.astype(int).tolist(), (touch + touch.T).tolist()
-        boxes = (_box(lab == j) for j in range(k + 1))
-        self.boxes = [[r.start, r.stop - 1, c.start, c.stop - 1] for r, c in boxes]
+        # Which labels each row and each column holds; a box spans the first and last of them.
+        n = k + 1
+        rows = np.bincount((lab + n * np.arange(h)[:, None]).ravel(), minlength=n * h).reshape(h, n).T > 0
+        cols = np.bincount((lab + n * np.arange(w)).ravel(), minlength=n * w).reshape(w, n).T > 0
+        y0, y1, x0, x1 = (a.argmax(axis=1) for a in (rows, rows[:, ::-1], cols, cols[:, ::-1]))
+        self.boxes = np.stack([y0, h - 1 - y1, x0, w - 1 - x1], axis=1).tolist()
 
-    def pattern(self, i: int, j: int) -> int:
-        return sum(bit for bit, off in self.ring if self.flat[i + off] == j)
+    def around(self, i: int) -> tuple[int, ...]:
+        """The labels around flat voxel ``i``, in ``_RING`` order."""
+        f, w = self.flat, self.width
+        return f[i - w], f[i - w + 1], f[i + 1], f[i + w + 1], f[i + w], f[i + w - 1], f[i - 1], f[i - w - 1]
 
-    def border(self, give: int, take: int) -> list[tuple[int, int]]:
-        """Part ``give``'s voxels 4-adjacent to part ``take``, row-major as (y, x)."""
+    def border(self, give: int, take: int) -> tuple[np.ndarray, np.ndarray]:
+        """``(ys, xs)`` of part ``give``'s voxels 4-adjacent to part ``take``, row-major."""
         (gy0, gy1, gx0, gx1), (ty0, ty1, tx0, tx1) = self.boxes[give], self.boxes[take]
         y0, y1, x0, x1 = max(gy0, ty0 - 1), min(gy1, ty1 + 1), max(gx0, tx0 - 1), min(gx1, tx1 + 1)
         win = self.lab[y0 - 1 : y1 + 2, x0 - 1 : x1 + 2]
-        near = win == take
-        near = near[:-2, 1:-1] | near[2:, 1:-1] | near[1:-1, :-2] | near[1:-1, 2:]
-        ys, xs = np.nonzero((win[1:-1, 1:-1] == give) & near)
-        return list(zip((ys + y0).tolist(), (xs + x0).tolist()))
+        is_take = win == take
+        near = is_take[:-2, 1:-1] | is_take[2:, 1:-1]
+        near |= is_take[1:-1, :-2]
+        near |= is_take[1:-1, 2:]
+        near &= win[1:-1, 1:-1] == give
+        ys, xs = near.nonzero()
+        return ys + y0, xs + x0
 
     def move(self, y: int, x: int, take: int) -> None:
         """Relabel part voxel (y, x) to ``take``; 0 trims it."""
         i, flat, touch = y * self.width + x, self.flat, self.touch
+        ring = self.around(i)  # read once for both parts
         for j, sign in ((flat[i], -1), (take, 1)):
             self.areas[j] += sign
-            self.quads[j] += sign * _RING_TABLE[self.pattern(i, j)][1]
-            for v in [flat[i + off] for _, off in self.ring[::2]]:
+            self.quads[j] += sign * _RING_TABLE[_pattern(ring, j)][1]
+            for v in ring[::2]:
                 touch[j][v] += sign
                 touch[v][j] += sign
         flat[i] = self.lab[y, x] = take
@@ -384,9 +404,10 @@ def _removable(parts: _Parts, j: int, cand):
     between two would close a loop around the background corner between
     them. Each voxel is tested against the part as it stands at its turn.
     """
+    flat, width, around = parts.flat, parts.width, parts.around
     for y, x in cand:
-        i = y * parts.width + x
-        groups = _RING_TABLE[parts.pattern(i, j)][0] if parts.flat[i] == j else 0
+        i = y * width + x
+        groups = _RING_TABLE[_pattern(around(i), j)][0] if flat[i] == j else 0
         if groups > 1 and parts.quads[j] != 4:  # around a hole, the groups may meet
             y0, y1, x0, x1 = parts.boxes[j]
             rest = parts.lab[y0 : y1 + 1, x0 : x1 + 1] == j
@@ -399,19 +420,21 @@ def _removable(parts: _Parts, j: int, cand):
 def _strip_move(parts: _Parts, give: int, take: int, limit: int, arrival) -> int:
     """Move up to ``limit`` border voxels from ``give`` to ``take``; ``take`` 0 is the background.
 
-    Works off one snapshot of the border, in ascending ``arrival`` order
-    (row-major on ties): with the second wave's arrival the deepest voxels go
-    first, so repeated transfers across the same border dent its middle
-    instead of marching along the region's boundary rim, which keeps the
-    moves shape preserving; the trim passes the negated arrival to take the
-    outermost first. Every move keeps the donor 4-connected and nonempty;
-    every moved voxel borders the receiver, so it joins background the donor
-    already touches and opens no hole. Returns the number of voxels moved.
+    Works off one snapshot of the border, put in ascending ``arrival`` order
+    by one stable sort (row-major on ties): with the second wave's arrival
+    the deepest voxels go first, so repeated transfers across the same border
+    dent its middle instead of marching along the region's boundary rim,
+    which keeps the moves shape preserving; the trim passes the negated
+    arrival to take the outermost first. Every move keeps the donor
+    4-connected and nonempty; every moved voxel borders the receiver, so it
+    joins background the donor already touches and opens no hole. Returns
+    the number of voxels moved.
     """
     if limit <= 0:
         return 0
-    cand = parts.border(give, take)
-    cand.sort(key=lambda yx: arrival[yx])  # stable: ties stay row-major
+    ys, xs = parts.border(give, take)
+    order = arrival[ys, xs].argsort(kind="stable")  # stable: ties stay row-major
+    cand = zip(ys[order].tolist(), xs[order].tolist())
     moved = 0
     for moved, (y, x) in enumerate(islice(_removable(parts, give, cand), limit), 1):
         parts.move(y, x, take)
@@ -429,8 +452,9 @@ def _route_to_deficit(parts: _Parts, goals, dest: int) -> list[int] | None:
     queue, seen = [[dest]], {dest}
     for chain in queue:  # grows as the search goes
         cur = chain[0]
-        for nb in [l for l, n in enumerate(parts.touch[cur]) if n and l not in (0, cur)]:
-            if nb in seen or next(_removable(parts, nb, parts.border(nb, cur)), None) is None:
+        for nb in [l for l, n in enumerate(parts.touch[cur]) if n and l and l not in seen]:  # cur is seen
+            ys, xs = parts.border(nb, cur)
+            if next(_removable(parts, nb, zip(ys.tolist(), xs.tolist())), None) is None:
                 continue
             seen.add(nb)
             queue.append([nb, *chain])

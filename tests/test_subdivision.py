@@ -16,8 +16,9 @@ from shapesplit import (
     subdivide_equal,
 )
 from shapesplit.eikonal import ArrivalField
+from shapesplit.grid import _box
 from shapesplit import subdivision
-from shapesplit.subdivision import _RING, _RING_TABLE, _band, _band_mask, _joins, _Parts, _removable
+from shapesplit.subdivision import _RING, _RING_TABLE, _band, _band_mask, _joins, _Parts, _removable, _strip_move
 
 from conftest import make_blob
 from oracles import adjacent_label_pairs, bit_quad_sum, euler_number, flood_fill_components
@@ -126,6 +127,23 @@ class TestCutBand:
     def test_bad_normal_rejected(self, normal):
         with pytest.raises(ValidationError, match="normal"):
             cut_band(np.ones((3, 3), dtype=bool), (1, 1), normal)
+
+    @pytest.mark.parametrize(
+        "normal, same_as",
+        [
+            ((1e308, -1e308), (1, -1)),
+            ((-1.7e308, -1.7e308), (1, 1)),
+            ((2.0**1000, 2.0**999), (2, 1)),
+            ((1e308, 1e-308), (1, 0)),
+            ((5e-324, -5e-324), (1, -1)),
+            ((2.0**-1070, 2.0**-1071), (2, 1)),
+            ((0.0, 5e-324), (0, 1)),
+        ],
+    )
+    def test_huge_and_subnormal_normals(self, normal, same_as):
+        # the band depends on the normal's direction only, at every scale
+        mask = np.ones((5, 5), dtype=bool)
+        assert cut_band(mask, (2, 2), normal) == cut_band(mask, (2, 2), same_as)
 
 
 def line_reference(region, anchor, normal):
@@ -639,7 +657,9 @@ def assert_state_exact(parts: _Parts, k: int) -> None:
             near[1:-1, 1:-1] = (lab[:-2, 1:-1] == other) | (lab[2:, 1:-1] == other)
             near[1:-1, 1:-1] |= (lab[1:-1, :-2] == other) | (lab[1:-1, 2:] == other)
             want = [(int(y), int(x)) for y, x in np.argwhere(region & near)] if other != j else []
-            assert other == j or parts.border(j, other) == want
+            if other != j:
+                ys, xs = parts.border(j, other)
+                assert list(zip(ys.tolist(), xs.tolist())) == want
 
 
 class TestParts:
@@ -654,6 +674,9 @@ class TestParts:
             inner = rng.integers(0, k + 1, size=h * w)
             inner[:k] = np.arange(1, k + 1)
             parts = _Parts(np.pad(rng.permutation(inner).reshape(h, w), 1).astype(np.int32), k)
+            for j in range(k + 1):  # exact at the start; afterwards they only cover
+                rows, cols = _box(parts.lab == j)
+                assert parts.boxes[j] == [rows.start, rows.stop - 1, cols.start, cols.stop - 1]
             assert_state_exact(parts, k)
             for _ in range(25):
                 ys, xs = np.nonzero(parts.lab)
@@ -664,6 +687,27 @@ class TestParts:
                 take = int(rng.choice([t for t in range(k + 1) if t != parts.lab[y, x]]))
                 parts.move(y, x, take)
                 assert_state_exact(parts, k)
+
+
+class TestStripMove:
+    @pytest.mark.parametrize("sign", [1, -1])  # the trim passes the negated arrival
+    def test_moves_in_ascending_arrival_row_major_on_ties(self, monkeypatch, sign):
+        # Part 1 is rows 2-4 between two rows of part 2: its 40-voxel border
+        # is rows 2 and 4, every voxel removable in any order. Arrivals take
+        # three values, so most voxels tie; an unstable sort reorders ties.
+        lab = np.zeros((7, 22), dtype=np.int32)
+        lab[1:6, 1:21] = 2
+        lab[2:5, 1:21] = 1
+        yy, xx = np.mgrid[0:7, 0:22]
+        arrival = sign * ((7 * xx + yy) % 3).astype(float)
+        parts = _Parts(lab, 2)
+        moved = []
+        move = parts.move
+        monkeypatch.setattr(parts, "move", lambda y, x, take: (moved.append((y, x)), move(y, x, take)))
+        assert _strip_move(parts, 1, 2, 40, arrival) == 40
+        border = [(y, x) for y in (2, 4) for x in range(1, 21)]
+        assert moved == sorted(border, key=lambda yx: (arrival[yx], yx))
+        assert parts.areas[1:] == [20, 80]
 
 
 class TestSubdivideEqual:
