@@ -3,10 +3,11 @@
 Coordinates are ``(x, y)`` pairs on a ``width x height`` grid; arrays are
 indexed ``[y, x]``. Everything outside the grid counts as background.
 Every connectivity question in the library (is a region one piece, which
-pieces does a cut leave, which band voxels reach the anchor, is every part
-of a label map one piece) is answered by the one run-based labeling in
+pieces does a cut leave, does a part stay one piece around a hole, is every
+part of a label map one piece) is answered by the one run-based labeling in
 ``_label_runs``: of a mask, or of a label map at once, where runs join only
-runs of their own label.
+runs of their own label. A cut band's pieces need no labeling: they are
+read off the rows of its line (``subdivision._band``).
 """
 
 from __future__ import annotations

@@ -212,17 +212,12 @@ def read_field_csv(data: bytes) -> np.ndarray:
         raise ValidationError("empty field file")
     if len({line.count(",") for line in lines}) > 1:
         raise ValidationError("field rows differ in length")
-    # A field repeats whole rows and holds few distinct values: parse each
-    # distinct line, and each distinct cell, once.
-    index = {line: i for i, line in enumerate(dict.fromkeys(lines))}
-    cells = ",".join(index).split(",")
+    cells = ",".join(lines).split(",")
     try:
-        value = {cell: float(cell) for cell in set(cells)}
+        field = np.fromiter(map(float, cells), np.float64, len(cells))
     except ValueError:
         raise ValidationError("field file holds a value that is not a number") from None
-    table = np.fromiter(map(value.__getitem__, cells), np.float64, len(cells)).reshape(len(index), -1)
-    field = table[np.fromiter(map(index.__getitem__, lines), np.intp, len(lines))]
-    return check_scalar_field(field)
+    return check_scalar_field(field.reshape(len(lines), -1))
 
 
 @dataclass(frozen=True)

@@ -10,10 +10,10 @@ that all areas come out exactly equal. It keeps the
 areas, Euler numbers, adjacency and boxes of the parts up to date voxel by
 voxel, so no exchange rescans the grid. Connectivity is asked at the size
 of the question: each cut labels what is left to label on its bounding box,
-a band grows from its anchor over the few voxels per row that its line can
-hold, a new part is one piece when every 4-piece of its band touches the
-piece behind the cut, and one labeling of the label map checks all parts
-at once.
+a band and its 4-pieces are read off the rows of its line, which hold one
+voxel or two side by side, a new part is one piece when every 4-piece of
+its band touches the piece behind the cut, and one labeling of the label
+map checks all parts at once.
 
 Regions use 4-connectivity, paths and cut bands 8-connectivity; an
 8-connected band 4-separates the plane, which is what makes one-voxel cuts
@@ -100,30 +100,15 @@ def _plan_cuts(pts: list[tuple[int, int]], k: int) -> list[Cut]:
     return plan
 
 
-def _grow(reached: list[int], pool: set[int], ring, w: int) -> list[int]:
-    """Extend ``reached`` by the voxels of ``pool`` it reaches by ``ring`` steps, taking them out of ``pool``.
-
-    A voxel (x, y) of a ``w``-wide grid is the number ``y (w + 1) + x``, so a
-    step (dx, dy) adds ``dy (w + 1) + dx``, and a step off either side lands
-    on the unused number ``x = w`` rather than on the next row.
-    """
-    steps = [dy * (w + 1) + dx for dx, dy in ring]
-    for v in reached:  # grows as the search goes
-        for p in [v + d for d in steps]:
-            if p in pool:
-                pool.remove(p)
-                reached.append(p)
-    return reached
-
-
-def _band(region: np.ndarray, anchor, normal) -> tuple[np.ndarray, np.ndarray]:
-    """``(ys, xs)`` of the digital-line band through ``anchor`` perpendicular to ``normal``.
+def _band(region: np.ndarray, anchor, normal) -> tuple[tuple[np.ndarray, np.ndarray], np.ndarray]:
+    """``((ys, xs), piece)``: the digital-line band through ``anchor`` perpendicular to ``normal``.
 
     Voxels p of ``region`` with |normal . (p - anchor)| <= max(|nx|, |ny|)/2
     form the thinnest 4-separating line; of those, only the 8-connected
     piece containing the anchor, which must lie in ``region``, is returned,
     so far-away lobes that happen to fall on the same line are untouched.
-    The work grows with the region's side, not its area.
+    ``piece`` numbers the band's 4-pieces 0, 1, ... in the order of its
+    voxels. The work grows with the region's side, not its area.
     """
     ax, ay = anchor
     nx, ny = float(normal[0]), float(normal[1])
@@ -134,27 +119,38 @@ def _band(region: np.ndarray, anchor, normal) -> tuple[np.ndarray, np.ndarray]:
     # On row y the line's voxels lie within half a voxel of c = ax - (ny / nx)(y - ay),
     # so they are floor(c) or floor(c) + 1 (rounding moves c by far less than
     # half a voxel); the exact test below picks them out of those two.
-    rows = np.arange(h)
-    ys = rows.repeat(2)
-    xs = (np.floor(ax - ny / nx * (rows - ay)).astype(np.intp)[:, None] + (0, 1)).ravel()
-    inside = (0 <= xs) & (xs < w)
-    ys, xs = ys[inside], xs[inside]
-    on = region[ys, xs] & (2.0 * np.abs(nx * (xs - ax) + ny * (ys - ay)) <= max(abs(nx), abs(ny)))
-    start = ay * (w + 1) + ax
-    line = set((ys[on] * (w + 1) + xs[on]).tolist()) - {start}
-    ys, xs = np.divmod(np.array(_grow([start], line, _RING, w)), w + 1)
-    return (xs, ys) if flip else (ys, xs)
+    dy = np.arange(-ay, h - ay)[:, None]
+    xs = np.floor(ax - ny / nx * dy).astype(np.intp) + (0, 1)
+    at = xs.clip(0, w - 1)
+    on = (at == xs) & (2.0 * np.abs(nx * (xs - ax) + ny * dy) <= max(abs(nx), abs(ny)))
+    on &= region[dy + ay, at]
+    # A row of the line holds no voxel, one, or two side by side, spanning
+    # columns lo..hi; an empty row's span lies far from every other. Rows in
+    # turn are 8-adjacent when their spans come within one column of each
+    # other and 4-adjacent when they share one, so the band is the anchor's
+    # run of 8-adjacent rows, and a new 4-piece starts at each row of it
+    # that shares no column with the row before.
+    span = np.where(on, xs, 1 << 40)
+    lo = np.minimum(span[:, 0], span[:, 1])
+    span = np.where(on, xs, -1 << 40)
+    hi = np.maximum(span[:, 0], span[:, 1])
+    gap = np.maximum(lo[1:] - hi[:-1], lo[:-1] - hi[1:])  # 0 or less when they share a column
+    apart = np.flatnonzero(gap > 1)
+    i = np.searchsorted(apart, ay)
+    y0 = apart[i - 1] + 1 if i else 0
+    y1 = apart[i] + 1 if i < apart.size else h
+    v = np.flatnonzero(on[y0:y1])
+    ys, xs = v >> 1, xs[y0:y1].ravel()[v]
+    diagonal = gap[y0 : y1 - 1] > 0
+    piece = np.zeros(ys.size, np.intp)
+    if diagonal.any():
+        piece = np.concatenate(([0], np.cumsum(diagonal)))[ys]
+    ys += y0
+    return ((xs, ys) if flip else (ys, xs)), piece
 
 
-def _band_mask(region: np.ndarray, anchor, normal) -> np.ndarray:
-    """``_band`` as a mask of ``region``'s shape."""
-    band = np.zeros(region.shape, dtype=bool)
-    band[_band(region, anchor, normal)] = True
-    return band
-
-
-def _joins(band: tuple[np.ndarray, np.ndarray], comps: np.ndarray, behind: int) -> bool:
-    """Whether ``band`` and the 4-piece ``comps == behind`` together form one 4-connected piece.
+def _joins(band: tuple[np.ndarray, np.ndarray], piece: np.ndarray, comps: np.ndarray, behind: int) -> bool:
+    """Whether ``band``, with 4-pieces ``piece``, and the 4-piece ``comps == behind`` form one 4-piece.
 
     Two 4-pieces of the band never touch, so each reaches the rest of the
     union only through the behind piece: the union is one piece iff every
@@ -166,10 +162,7 @@ def _joins(band: tuple[np.ndarray, np.ndarray], comps: np.ndarray, behind: int) 
     px, py = xs[:, None] + step_x, ys[:, None] + step_y  # each voxel's 4-neighbors
     inside = (0 <= px) & (px < w) & (0 <= py) & (py < h)
     near = (inside & (comps[py.clip(0, h - 1), px.clip(0, w - 1)] == behind)).any(axis=1)
-    ids = ys * (w + 1) + xs
-    rest = set(ids[~near].tolist())
-    _grow(ids[near].tolist(), rest, _RING[::2], w)
-    return not rest
+    return bool(np.bincount(piece[near], minlength=piece[-1] + 1).all())
 
 
 def cut_band(mask, anchor, normal) -> set[tuple[int, int]]:
@@ -190,9 +183,8 @@ def cut_band(mask, anchor, normal) -> set[tuple[int, int]]:
     # A power of two scales exactly: with the larger component in [0.5, 1),
     # the band's products cannot overflow and its bits are those of any scale.
     e = math.frexp(max(abs(nx), abs(ny)))[1]
-    band = _band_mask(m, (x, y), (math.ldexp(nx, -e), math.ldexp(ny, -e)))
-    ys, xs = np.nonzero(band)
-    return {(int(px), int(py)) for px, py in zip(xs, ys)}
+    (ys, xs), _ = _band(m, (x, y), (math.ldexp(nx, -e), math.ldexp(ny, -e)))
+    return set(zip(xs.tolist(), ys.tolist()))
 
 
 def _shift_sequence(max_shift: int):
@@ -265,7 +257,7 @@ def _subdivide(m: np.ndarray, pts: list[tuple[int, int]], indices: list[int]) ->
             ax, ay = pts[i]
             if not working[ay, ax]:
                 continue
-            band = _band(work, (ax - x0, ay - y0), _tangent(pts, i))
+            band, piece = _band(work, (ax - x0, ay - y0), _tangent(pts, i))
             rest = work.copy()
             rest[band] = False
             comps, ncomp = _label_runs(rest, 4)
@@ -279,7 +271,7 @@ def _subdivide(m: np.ndarray, pts: list[tuple[int, int]], indices: list[int]) ->
             # centerline voxel can never be labeled by a later cut, and (b)
             # yields a 4-connected region once the band joins the behind side;
             # a diagonal band's tail can otherwise hang off the far side.
-            joins = np.bincount(along, minlength=ncomp + 1)[1:].all() and _joins(band, comps, along[0])
+            joins = np.bincount(along, minlength=ncomp + 1)[1:].all() and _joins(band, piece, comps, along[0])
             if joins or fallback is None:
                 part = comps == along[0]
                 part[band] = True
@@ -520,9 +512,7 @@ def balance_areas(labels, k: int, arrival) -> np.ndarray:
     target = total // k
     leftover = total % k
 
-    goals = np.full(k + 1, target, dtype=np.int64)
-    goals[0] = 0
-    goals[k] = target + leftover  # remainder parks on region k for the trim
+    goals = [0] + [target] * (k - 1) + [target + leftover]  # remainder parks on region k for the trim
 
     # Pair equalizing: each pass visits every region in descending area
     # order and lets it push a strip to its smallest neighbor, capped at the
@@ -536,7 +526,7 @@ def balance_areas(labels, k: int, arrival) -> np.ndarray:
             if not neigh:
                 continue
             recv = min(neigh, key=lambda l: (areas[l], l))
-            quota = int(areas[donor] - areas[recv]) // 2
+            quota = (areas[donor] - areas[recv]) // 2
             if _strip_move(parts, donor, recv, quota, arr):
                 acted = True
         if not acted:
@@ -558,7 +548,7 @@ def balance_areas(labels, k: int, arrival) -> np.ndarray:
         chain = _route_to_deficit(parts, goals, dest) if moved < budget else None
         if chain is None:
             raise BalanceError(f"balance failed; region areas: {_area_report(areas, k)}")
-        flow = min(int(areas[chain[0]] - goals[chain[0]]), int(goals[dest] - areas[dest]))
+        flow = min(areas[chain[0]] - goals[chain[0]], goals[dest] - areas[dest])
         for give, take in zip(chain, chain[1:]):
             flow = _strip_move(parts, give, take, min(flow, budget - moved), arr)
             moved += flow

@@ -285,8 +285,8 @@ class TestFieldCsv:
             assert write_field_csv(f) == expected.encode("ascii")
 
     def test_read_matches_per_cell_float(self):
-        # Reading parses each distinct cell once; every bit must be what a
-        # float() per cell gives, including signed zeros in hand-written files.
+        # Every bit must be what a float() per cell gives, including signed
+        # zeros and underscores in hand-written files.
         for data in [write_field_csv(f) for f in self.fields()] + [b"-0,0, 1.5\n0,-0,1_0\n"]:
             rows = [line.split(",") for line in data.decode("ascii").split("\n") if line]
             want = np.array([[float(cell) for cell in row] for row in rows])

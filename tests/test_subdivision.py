@@ -18,7 +18,7 @@ from shapesplit import (
 from shapesplit.eikonal import ArrivalField
 from shapesplit.grid import _box
 from shapesplit import subdivision
-from shapesplit.subdivision import _RING, _RING_TABLE, _band, _band_mask, _joins, _Parts, _removable, _strip_move
+from shapesplit.subdivision import _RING, _RING_TABLE, _band, _joins, _Parts, _removable, _strip_move
 
 from conftest import make_blob
 from oracles import adjacent_label_pairs, bit_quad_sum, euler_number, flood_fill_components
@@ -155,6 +155,13 @@ def line_reference(region, anchor, normal):
     return comps == comps[ay, ax]
 
 
+def band_mask(region, anchor, normal):
+    """``_band``'s voxels as a mask of ``region``'s shape."""
+    band = np.zeros(region.shape, dtype=bool)
+    band[_band(region, anchor, normal)[0]] = True
+    return band
+
+
 def band_cases(seed, count):
     """Regions up to 64², anchors on them and normals: integers in -4..4 and
     floats, on random masks, blobs and rings that a line through the anchor
@@ -186,11 +193,42 @@ def band_cases(seed, count):
         yield region, (int(xs[pick]), int(ys[pick])), normal
 
 
+def gapped_band_cases(seed, count):
+    """Filled and random regions up to 40² whose line through the anchor
+    lost random voxels, so its rows have gaps and some hold one of their two
+    voxels; normals are small integers and floats whose |ny / nx| lies within
+    1e-12 of 1."""
+    rng = np.random.default_rng(seed)
+    for i in range(count):
+        h, w = (int(v) for v in rng.integers(2, 41, size=2))
+        region = np.ones((h, w), bool) if i % 2 else rng.random((h, w)) < 0.9
+        ys, xs = np.nonzero(region)
+        if ys.size == 0:
+            continue
+        pick = rng.integers(ys.size)
+        anchor = (int(xs[pick]), int(ys[pick]))
+        if i % 3:
+            a = float(rng.uniform(0.1, 4))
+            normal = (a * float(rng.choice([-1, 1])), a * (1 + float(rng.uniform(-1e-12, 1e-12))))
+            normal = normal if rng.random() < 0.5 else normal[::-1]
+        else:
+            normal = (0, 0)
+            while normal == (0, 0):
+                normal = tuple(int(v) for v in rng.integers(-3, 4, size=2))
+        (ax, ay), (nx, ny) = anchor, normal
+        yy, xx = np.mgrid[0:h, 0:w]
+        line = region & (2.0 * np.abs(nx * (xx - ax) + ny * (yy - ay)) <= max(abs(nx), abs(ny)))
+        drop = line & (rng.random((h, w)) < rng.uniform(0.05, 0.4))
+        drop[ay, ax] = False
+        yield region & ~drop, anchor, normal
+
+
 class TestBandMask:
     def test_line_box_labeling_matches_a_whole_grid_reference(self):
-        # The band is labeled on the line's own bounding box; a reference
-        # labels the whole line with the flood-fill oracle.
+        # The band is read off the line's rows; a reference labels the whole
+        # line with the flood-fill oracle.
         rng = np.random.default_rng(12)
+        cases = []
         for _ in range(200):
             h, w = rng.integers(3, 30, size=2)
             region = rng.random((h, w)) < rng.uniform(0.3, 1.0)
@@ -202,12 +240,14 @@ class TestBandMask:
             normal = (0, 0)
             while normal == (0, 0):
                 normal = tuple(int(v) for v in rng.integers(-2, 3, size=2))
-            nx, ny = normal
+            cases.append((region, (ax, ay), normal))
+        for region, (ax, ay), (nx, ny) in [*cases, *gapped_band_cases(13, 200)]:
+            h, w = region.shape
             yy, xx = np.mgrid[0:h, 0:w]
             line = region & (2.0 * np.abs(nx * (xx - ax) + ny * (yy - ay)) <= max(abs(nx), abs(ny)))
             comps, _ = flood_fill_components(line, 8)
             before = region.copy()
-            assert np.array_equal(_band_mask(region, (ax, ay), normal), comps == comps[ay, ax])
+            assert np.array_equal(band_mask(region, (ax, ay), (nx, ny)), comps == comps[ay, ax])
             assert np.array_equal(region, before)
 
     @pytest.mark.parametrize("seed", range(3))
@@ -216,7 +256,7 @@ class TestBandMask:
         # line; the reference tests every voxel of the grid.
         for region, anchor, normal in band_cases(seed, 120):
             before = region.copy()
-            assert np.array_equal(_band_mask(region, anchor, normal), line_reference(region, anchor, normal))
+            assert np.array_equal(band_mask(region, anchor, normal), line_reference(region, anchor, normal))
             assert np.array_equal(region, before)
 
     def test_edge_normals_and_thin_grids(self):
@@ -227,18 +267,33 @@ class TestBandMask:
             for anchor in {(0, 0), (w // 2, h // 2), (w - 1, h - 1)}:
                 for normal in normals:
                     expect = line_reference(region, anchor, normal)
-                    assert np.array_equal(_band_mask(region, anchor, normal), expect), (region.shape, anchor, normal)
+                    assert np.array_equal(band_mask(region, anchor, normal), expect), (region.shape, anchor, normal)
+
+    @pytest.mark.parametrize("seed", range(3))
+    def test_pieces_are_the_band_4_components(self, seed):
+        # Pieces are numbered 0, 1, ... in the order of the band's voxels, one
+        # number per 4-component of the band.
+        counts = []
+        for region, anchor, normal in [*band_cases(seed, 60), *gapped_band_cases(20 + seed, 120)]:
+            (ys, xs), piece = _band(region, anchor, normal)
+            comps, count = flood_fill_components(band_mask(region, anchor, normal), 4)
+            assert np.array_equal(np.unique(piece), np.arange(count))
+            assert (np.diff(piece) >= 0).all()
+            pairs = set(zip(piece.tolist(), comps[ys, xs].tolist()))
+            assert len(pairs) == count, (region.shape, anchor, normal)
+            counts.append(count)
+        assert max(counts) > 2
 
 
 def assert_join_check_matches(region, anchor, normal):
     """``_joins`` against flood-filling the band with each piece it leaves; returns the outcomes."""
-    band = _band(region, anchor, normal)
-    band_mask = _band_mask(region, anchor, normal)
-    comps, count = flood_fill_components(region & ~band_mask, 4)
+    band, piece = _band(region, anchor, normal)
+    mask = band_mask(region, anchor, normal)
+    comps, count = flood_fill_components(region & ~mask, 4)
     outcomes = []
     for behind in range(1, count + 1):
-        expect = flood_fill_components(band_mask | (comps == behind), 4)[1] == 1
-        assert _joins(band, comps, behind) == expect, (anchor, normal, behind)
+        expect = flood_fill_components(mask | (comps == behind), 4)[1] == 1
+        assert _joins(band, piece, comps, behind) == expect, (anchor, normal, behind)
         outcomes.append(expect)
     return outcomes
 
@@ -247,7 +302,7 @@ class TestJoins:
     @pytest.mark.parametrize("seed", range(3))
     def test_matches_flood_fill_on_random_cuts(self, seed):
         outcomes = []
-        for region, anchor, normal in band_cases(100 + seed, 120):
+        for region, anchor, normal in [*band_cases(100 + seed, 120), *gapped_band_cases(200 + seed, 120)]:
             outcomes += assert_join_check_matches(region, anchor, normal)
         assert True in outcomes and False in outcomes
 
@@ -256,13 +311,13 @@ class TestJoins:
         # voxel x=0, y=3, the band's end x=0, y=4 touches only the far side.
         region = np.ones((5, 5), dtype=bool)
         region[3, 0] = False
-        band = _band(region, (2, 2), (1, 1))
+        band, piece = _band(region, (2, 2), (1, 1))
         assert sorted(zip(*band)) == [(0, 4), (1, 3), (2, 2), (3, 1), (4, 0)]  # (y, x)
-        comps, count = flood_fill_components(region & ~_band_mask(region, (2, 2), (1, 1)), 4)
+        comps, count = flood_fill_components(region & ~band_mask(region, (2, 2), (1, 1)), 4)
         assert count == 2
         near, far = comps[0, 0], comps[4, 4]
-        assert not _joins(band, comps, near)
-        assert _joins(band, comps, far)
+        assert not _joins(band, piece, comps, near)
+        assert _joins(band, piece, comps, far)
         assert assert_join_check_matches(region, (2, 2), (1, 1)) == [False, True]
 
 
