@@ -199,7 +199,8 @@ def write_field_csv(field) -> bytes:
     """Serialize a scalar field as CSV at full round-trip precision.
 
     One row per grid row, comma separated, LF line endings; +inf renders
-    as ``inf`` and integral values drop the decimal point.
+    as ``inf``, integral values drop the decimal point, and zero is ``0``
+    whatever its sign, so ``-0.0`` reads back as ``0.0``.
     """
     return _lines(check_scalar_field(field), _csv_cell, ",").encode("ascii")
 

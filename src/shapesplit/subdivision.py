@@ -187,13 +187,6 @@ def cut_band(mask, anchor, normal) -> set[tuple[int, int]]:
     return set(zip(xs.tolist(), ys.tolist()))
 
 
-def _shift_sequence(max_shift: int):
-    yield 0
-    for step in range(1, max_shift + 1):
-        yield step
-        yield -step
-
-
 def subdivide(mask, path, plan: list[Cut]) -> np.ndarray:
     """Label the region into ``len(plan) + 1`` parts along the centerline.
 
@@ -206,9 +199,10 @@ def subdivide(mask, path, plan: list[Cut]) -> np.ndarray:
     increase strictly within ``1..L-2`` and whose anchor and normal are the
     path voxel and ``normal_at`` direction at that index.
 
-    If a band fails to split the working mask, the anchor is shifted along
-    the path by +-1, +-2, ... up to a quarter of the per-region path
-    share, recomputing the direction each time, before giving up.
+    A cut that strands a piece off the path, or leaves its part in pieces,
+    moves along the path by +1, -1, +2, -2, ... over every unlabeled path
+    voxel, recomputing the direction each time. The first cut that does
+    neither is taken, else the first that severs anything, else CutError.
     """
     m = check_mask(mask, require_nonempty=True)
     pts = check_path(path)
@@ -240,7 +234,6 @@ def _subdivide(m: np.ndarray, pts: list[tuple[int, int]], indices: list[int]) ->
     path_x, path_y = np.array(pts).T
     length = len(pts)
     k = len(indices) + 1
-    max_shift = length // (4 * k)
     labels = np.zeros(m.shape, dtype=np.int32)
     working = m.copy()
     box = _box(m)
@@ -250,8 +243,8 @@ def _subdivide(m: np.ndarray, pts: list[tuple[int, int]], indices: list[int]) ->
         on = working[path_y, path_x]  # the unlabeled path voxels, all on the box
         box_y, box_x = path_y[on] - y0, path_x[on] - x0
         chosen = fallback = None
-        for shift in _shift_sequence(max_shift):
-            i = index + shift
+        for shift in range(2 * length):  # 0, +1, -1, +2, -2, ...: nearest first, + before -
+            i = index + (shift + 1) // 2 * (1 if shift % 2 else -1)
             if not 1 <= i <= length - 2:
                 continue
             ax, ay = pts[i]
@@ -476,7 +469,7 @@ def balance_areas(labels, k: int, arrival) -> np.ndarray:
 
     1. Pair equalizing: connectivity-preserving border strips flow from
        large regions into their smallest neighbors, largest first, each
-       capped at half the area gap.
+       capped at half the area gap, until a pass moves nothing.
     2. Routed strip flow: the remaining surplus is routed as strips along
        the region graph until regions 1..k-1 hold T voxels and region k
        holds T plus the remainder. Strips keep borders compact, so regions
@@ -516,10 +509,11 @@ def balance_areas(labels, k: int, arrival) -> np.ndarray:
 
     # Pair equalizing: each pass visits every region in descending area
     # order and lets it push a strip to its smallest neighbor, capped at the
-    # pair-equalizing quota (half the area gap); moving a whole strip
-    # regardless of the gap would make the largest pair trade the same
-    # strip back and forth without converging. Ends when a pass moves nothing.
-    for _ in range(10 * k):
+    # quota, half the area gap; a whole strip would let the largest pair
+    # trade it back and forth forever. Passes end when one moves nothing, as
+    # they must: q >= 1 voxels from area a to b, 2q <= a - b, change the sum
+    # of squared areas, a nonnegative integer, by 2q(q - (a - b)) <= -2q^2.
+    while True:
         acted = False
         for donor in sorted(range(1, k + 1), key=lambda l: (-areas[l], l)):
             neigh = [l for l, n in enumerate(parts.touch[donor]) if n and l not in (0, donor)]

@@ -255,6 +255,12 @@ class TestFieldCsv:
         field = np.array([[1.0, np.inf]])
         assert write_field_csv(field) == b"1,inf\n"
 
+    def test_zero_is_written_without_its_sign(self):
+        # the one value whose bits do not survive: -0.0 reads back as 0.0
+        assert write_field_csv(np.array([[-0.0, 1.5]])) == b"0,1.5\n"
+        back = read_field_csv(write_field_csv(np.array([[-0.0, -0.0]])))
+        assert back.tolist() == [[0.0, 0.0]] and not np.signbit(back).any()
+
     @staticmethod
     def fields():
         rng = np.random.default_rng(4)

@@ -424,6 +424,79 @@ class TestSubdividePlan:
         assert np.array_equal(subdivide(self.mask, self.path, plain), subdivide(self.mask, self.path, plan))
 
 
+def nearest_first(index, length):
+    """Path indices 1..length-2 in the shift search's order: index, +1, -1, +2, -2, ..."""
+    shifts = [0] + [s for step in range(1, length) for s in (step, -step)]
+    return [index + s for s in shifts if 1 <= index + s <= length - 2]
+
+
+def cut_outcome(working, path, i):
+    """``(part, joins)`` of a cut at path index ``i`` on ``working``, by flood fill.
+
+    ``part`` is the component behind the cut, the first along the path, with
+    the band; it is None when the cut severs no component holding a path
+    voxel. ``joins`` says that no component is stranded off the path and the
+    part is one 4-piece.
+    """
+    rest = working.copy()
+    for x, y in cut_band(working, path[i], normal_at(path, i)):
+        rest[y, x] = False
+    comps, count = flood_fill_components(rest, 4)
+    along = [comps[y, x] for x, y in path if comps[y, x]]
+    if count < 2 or not along:
+        return None, False
+    part = (comps == along[0]) | (rest != working)
+    return part, set(along) == set(range(1, count + 1)) and flood_fill_components(part, 4)[1] == 1
+
+
+class TestShiftSearch:
+    """Where a cut that fails to join moves to, seen through the public ``subdivide``.
+
+    Segment j cuts the voxels the earlier cuts left, which are ``labels >= j``.
+    """
+
+    def test_a_joining_cut_is_found_anywhere_on_the_path(self):
+        # The path is shorter than 4k voxels, so no cut could shift before;
+        # segments 2 and 4 join one voxel along, and every label is one piece.
+        mask = make_blob(3)
+        path, _ = extract_centerline(mask)
+        assert len(path) < 4 * 8
+        labels = subdivide(mask, path, sample_cut_points(path, 8))
+        for j in range(1, 9):
+            assert flood_fill_components(labels == j, 4)[1] == 1
+
+    def test_nearest_first_plus_before_minus(self):
+        # The planned first cut severs but does not join; one voxel either
+        # way joins, and the cut one voxel toward the path's end is taken.
+        mask = make_blob(1)
+        path, _ = extract_centerline(mask)
+        plan = sample_cut_points(path, 4)
+        labels = subdivide(mask, path, plan)
+        index = plan[0].index
+        part, joins = cut_outcome(mask, path, index)
+        assert part is not None and not joins
+        after, before = cut_outcome(mask, path, index + 1), cut_outcome(mask, path, index - 1)
+        assert after[1] and before[1]
+        assert np.array_equal(labels == 1, after[0])
+        assert not np.array_equal(labels == 1, before[0])
+
+    def test_without_a_joining_cut_the_first_that_severs_is_used(self):
+        # No unlabeled path voxel of segment 3 gives a cut that joins. The
+        # planned cut severs nothing; of those that do, six voxels toward the
+        # path's end comes before twelve back.
+        mask = make_blob(20, size=64)
+        path, _ = extract_centerline(mask)
+        plan = sample_cut_points(path, 4)
+        labels = subdivide(mask, path, plan)
+        working = labels >= 3
+        order = [i for i in nearest_first(plan[2].index, len(path)) if working[path[i][1], path[i][0]]]
+        outcomes = {i: cut_outcome(working, path, i) for i in order}
+        assert not any(joins for _, joins in outcomes.values())
+        severing = [i for i in order if outcomes[i][0] is not None]
+        assert severing[0] == plan[2].index + 6 and plan[2].index - 12 in severing
+        assert np.array_equal(labels == 3, outcomes[severing[0]][0])
+
+
 class TestCutBandSeparation:
     @pytest.mark.parametrize("seed", range(6))
     def test_band_splits_convex_mask_in_two(self, seed):
@@ -556,12 +629,27 @@ class TestBalanceAreas:
             _, count = flood_fill_components(out == j, 4)
             assert count == 1
 
-    @pytest.mark.parametrize("seed, k", [(2, 2), (4, 5)])
-    def test_routed_flow_uses_most_of_its_budget(self, seed, k):
-        # after pair equalizing these shapes route 261 and 682 voxels, over
+    @pytest.mark.parametrize("seed, k", [(19, 3), (4, 5)])
+    def test_routed_flow_uses_most_of_its_budget(self, seed, k, monkeypatch):
+        # after pair equalizing these shapes route 526 and 682 voxels, over
         # half of the routed flow's budget of 200 k moves
+        routed, route, strip_move = [], subdivision._route_to_deficit, subdivision._strip_move
+
+        def routing(*args):
+            routed.append(0)
+            return route(*args)
+
+        def counted(parts, give, take, limit, arrival):
+            moved = strip_move(parts, give, take, limit, arrival)
+            if routed and take:  # a routed move, not the trim
+                routed.append(moved)
+            return moved
+
+        monkeypatch.setattr(subdivision, "_route_to_deficit", routing)
+        monkeypatch.setattr(subdivision, "_strip_move", counted)
         mask = make_blob(seed, size=96)
         labels = subdivide_equal(mask, k)
+        assert 100 * k < sum(routed) < 200 * k
         assert areas_of(labels, k) == [int(mask.sum()) // k] * k
         assert (labels[~mask] == 0).all()
         for j in range(1, k + 1):
