@@ -3,12 +3,12 @@
 Cuts are one-voxel-thick digital lines placed perpendicular to the
 centerline at evenly spaced path positions. Each cut severs the region;
 labeling walks the cuts in centerline order, assigning the piece behind
-every cut before moving on. A balancing pass then equalizes the region
-areas by moving border strips between regions, and trims the division
-remainder from the last region as one more strip, into the background, so
-that all areas come out exactly equal. It keeps the
-areas, Euler numbers, adjacency and boxes of the parts up to date voxel by
-voxel, so no exchange rescans the grid. Connectivity is asked at the size
+every cut before moving on. Balancing then equalizes the region areas by
+one flow of border strips along a maximum spanning tree of the regions,
+and trims the division remainder from the last region as one more strip,
+into the background, so that all areas come out exactly equal. It keeps
+the areas, Euler numbers, adjacency and boxes of the parts up to date voxel
+by voxel, so no exchange rescans the grid. Connectivity is asked at the size
 of the question: each cut labels what is left to label on its bounding box,
 a band and its 4-pieces are read off the rows of its line, which hold one
 voxel or two side by side, a new part is one piece when every 4-piece of
@@ -426,26 +426,25 @@ def _strip_move(parts: _Parts, give: int, take: int, limit: int, arrival) -> int
     return moved
 
 
-def _route_to_deficit(parts: _Parts, goals, dest: int) -> list[int] | None:
-    """Shortest chain from the nearest surplus region to ``dest``.
+def _spanning_tree(touch: list[list[int]], k: int, blocked: set) -> tuple[list[int], list[int]] | None:
+    """``(order, parent)``: a maximum spanning tree of parts 1..k, rooted at k; None when none spans.
 
-    Breadth-first search from the deficit over the region adjacency graph,
-    walking only edges whose upstream side can actually give up a border
-    voxel. Returns labels ordered donor..dest, or None when no surplus is
-    reachable.
+    Prim's rule from part k: each step joins the part with the longest
+    border (``touch``) to the tree, over pairs not in ``blocked``; ties go
+    to the lowest new label, then the lowest label in the tree. ``order``
+    lists the parts as they join, so every parent comes before its children.
     """
-    queue, seen = [[dest]], {dest}
-    for chain in queue:  # grows as the search goes
-        cur = chain[0]
-        for nb in [l for l, n in enumerate(parts.touch[cur]) if n and l and l not in seen]:  # cur is seen
-            ys, xs = parts.border(nb, cur)
-            if next(_removable(parts, nb, zip(ys.tolist(), xs.tolist())), None) is None:
-                continue
-            seen.add(nb)
-            queue.append([nb, *chain])
-            if parts.areas[nb] > goals[nb]:
-                return queue[-1]
-    return None
+    order, parent = [k], [0] * (k + 1)
+    while len(order) < k:
+        joined = set(order)
+        edges = [(touch[a][b], -b, -a) for a in order for b in range(1, k + 1)
+                 if b not in joined and touch[a][b] and (a, b) not in blocked]
+        if not edges:
+            return None
+        _, b, a = max(edges)
+        order.append(-b)
+        parent[-b] = -a
+    return order, parent
 
 
 def _check_pieces(lab: np.ndarray, k: int) -> None:
@@ -457,32 +456,37 @@ def _check_pieces(lab: np.ndarray, k: int) -> None:
         raise BalanceError(f"balance failed: region {j} is not 4-connected")
 
 
-def _area_report(areas: list[int], k: int) -> str:
-    return ", ".join(f"{j}: {areas[j]}" for j in range(1, k + 1))
-
-
 def balance_areas(labels, k: int, arrival) -> np.ndarray:
     """Equalize region areas by border exchanges, then trim the remainder.
 
     With total labeled area A and target T = floor(A / k), the steps in
     order:
 
-    1. Pair equalizing: connectivity-preserving border strips flow from
-       large regions into their smallest neighbors, largest first, each
-       capped at half the area gap, until a pass moves nothing.
-    2. Routed strip flow: the remaining surplus is routed as strips along
-       the region graph until regions 1..k-1 hold T voxels and region k
-       holds T plus the remainder. Strips keep borders compact, so regions
-       change width but keep their shape.
-    3. Trim: move the A mod k surplus voxels of region k to the background
+    1. Tree flow: take a maximum spanning tree of the part graph, weighted
+       by shared border length and rooted at region k; the flow across
+       each tree edge is the surplus (area minus goal) of the subtree
+       below it, the goal being T, and T plus the remainder for region k.
+       Upward flows move leaves first, then downward flows root first,
+       each as border strips, so every donor holds what it passes on.
+       When a strip moves nothing, that pair is blocked and the tree and
+       its flows are rebuilt from the current areas. Strips keep borders
+       compact, so regions change width but keep their shape.
+    2. Trim: move the A mod k surplus voxels of region k to the background
        as one strip off their shared border, largest arrival first, never
        breaking the region or opening a hole.
 
-    Every region ends 4-connected with exactly T voxels. Raises
-    BalanceError when no transfer route exists, the routed flow's budget
-    (200 k voxel moves) runs out, or the trim's border gives too few voxels.
-    Every step moves voxels by ``_strip_move`` on one ``_Parts`` state updated
-    per moved voxel: areas, Euler numbers, adjacency counts, boxes.
+    Every region ends 4-connected with exactly T voxels. Every step moves
+    voxels by ``_strip_move`` on one ``_Parts`` state updated per moved
+    voxel: areas, Euler numbers, adjacency counts, boxes.
+
+    Raises
+    ------
+    ValidationError
+        If the labels are not exactly 1..k, or the arrival is not finite
+        on them or not of their shape.
+    BalanceError
+        If a region is not 4-connected, the pairs left unblocked no longer
+        connect the regions, or the trim's border gives too few voxels.
     """
     k = check_positive_int(k, "k")
     lab = check_labelmap(labels).copy()
@@ -501,52 +505,31 @@ def balance_areas(labels, k: int, arrival) -> np.ndarray:
     _check_pieces(parts.lab, k)
 
     areas = parts.areas
-    total = sum(areas[1:])
-    target = total // k
-    leftover = total % k
-
+    target, leftover = divmod(sum(areas[1:]), k)
     goals = [0] + [target] * (k - 1) + [target + leftover]  # remainder parks on region k for the trim
 
-    # Pair equalizing: each pass visits every region in descending area
-    # order and lets it push a strip to its smallest neighbor, capped at the
-    # quota, half the area gap; a whole strip would let the largest pair
-    # trade it back and forth forever. Passes end when one moves nothing, as
-    # they must: q >= 1 voxels from area a to b, 2q <= a - b, change the sum
-    # of squared areas, a nonnegative integer, by 2q(q - (a - b)) <= -2q^2.
-    while True:
-        acted = False
-        for donor in sorted(range(1, k + 1), key=lambda l: (-areas[l], l)):
-            neigh = [l for l, n in enumerate(parts.touch[donor]) if n and l not in (0, donor)]
-            if not neigh:
-                continue
-            recv = min(neigh, key=lambda l: (areas[l], l))
-            quota = (areas[donor] - areas[recv]) // 2
-            if _strip_move(parts, donor, recv, quota, arr):
-                acted = True
-        if not acted:
-            break
-
-    # Routed strip flow: pair averaging stalls once neighbor areas are
-    # within one voxel, which can still leave a long drift across a chain
-    # of regions. Route the remaining surplus to each deficit region along
-    # the region graph, still as deepest-first strips: pushing this bulk one
-    # voxel at a time would peel whole boundary rims off the pass-through
-    # regions and destroy their shape.
-    budget = 200 * k
-    moved = 0
-    while True:
-        deficits = [j for j in range(1, k + 1) if areas[j] < goals[j]]
-        if not deficits:
-            break
-        dest = deficits[0]
-        chain = _route_to_deficit(parts, goals, dest) if moved < budget else None
-        if chain is None:
-            raise BalanceError(f"balance failed; region areas: {_area_report(areas, k)}")
-        flow = min(areas[chain[0]] - goals[chain[0]], goals[dest] - areas[dest])
-        for give, take in zip(chain, chain[1:]):
-            flow = _strip_move(parts, give, take, min(flow, budget - moved), arr)
-            moved += flow
-            if flow == 0:
+    # Each round fixes a tree and its flows, then meets them strip by strip.
+    # With the tree fixed, every voxel moved lowers the flow left to move by one,
+    # so a round ends: with every goal met, or on a strip that moves nothing,
+    # which blocks a pair the tree used. No pair is blocked twice, so there
+    # are at most k(k - 1)/2 rebuilds, and the loop ends with no cap on moves.
+    blocked = set()
+    while areas[1:] != goals[1:]:  # areas[0] counts the background
+        tree = _spanning_tree(parts.touch, k, blocked)
+        if tree is None:
+            report = ", ".join(f"{j}: {areas[j]}" for j in range(1, k + 1))
+            raise BalanceError(f"balance failed; region areas: {report}")
+        order, parent = tree
+        flow = [area - goal for area, goal in zip(areas, goals)]
+        for j in reversed(order[1:]):
+            flow[parent[j]] += flow[j]
+        moves = [(j, parent[j], flow[j]) for j in reversed(order[1:]) if flow[j] > 0]
+        moves += [(parent[j], j, -flow[j]) for j in order[1:] if flow[j] < 0]
+        for give, take, need in moves:
+            while need and (moved := _strip_move(parts, give, take, need, arr)):
+                need -= moved
+            if need:
+                blocked |= {(give, take), (take, give)}
                 break
 
     # Trim: a strip from region k into the background, outermost first; the
@@ -555,7 +538,5 @@ def balance_areas(labels, k: int, arrival) -> np.ndarray:
         raise BalanceError(f"balance failed: cannot trim region {k} without disconnecting it")
 
     lab[box] = parts.lab[1:-1, 1:-1]
-    if any(areas[j] != target for j in range(1, k + 1)):
-        raise BalanceError(f"balance failed; region areas: {_area_report(areas, k)}")
     _check_pieces(parts.lab, k)
     return lab

@@ -18,116 +18,116 @@ from conftest import make_blob, make_c_annulus
 from oracles import euler_number, flood_fill_components
 
 EXPECTED = {
-    ("rectangle_64x16", 4): "7664ad77ada592dfaf80effb532e9263ae436bbb7b6ae9f4b8246f983ec2bd6d",
-    ("c_annulus", 16): "a85f50adcea35eb5c69d274fbfc7a5ba36bcb467cfd6e1fd1ef1447f08aad7a6",
-    ("blob48_0", 2): "6cc4c8bdf486b69605c26b041f88e52ad4c3f7eadb4dc16e91e06c0676073370",
-    ("blob48_0", 5): "131b8db157c5c4604fd2dc3f15cf1a72b89d08486f08c055915207582d6f705a",
-    ("blob48_0", 8): "eb7ca9ee46881c3162115cbd829329c249b5e4d4940b6793081de215c2e261f1",
-    ("blob48_1", 2): "9c814ba6e06d2e67368b4af231d03dfb47e50ea126128c10340d5a7a74cbf68e",
-    ("blob48_1", 5): "11a562a8058b0ac586c1496bedcd352a06998ad331bfeb5ed8c7c0a27e2004c2",
-    ("blob48_1", 8): "7926d1ca8368ece3810dfbd9013dfb3368f00af687c7db5b074751c7e02fd9e2",
+    ("rectangle_64x16", 4): "843f51b8799411ccb0049fdc0c731ce585e3e193668ae3f7da8bc115604137a5",
+    ("c_annulus", 16): "76ee7ac4811ff5a9d8ef94ee604397ecae678ab9e0662af525e677b4869845c8",
+    ("blob48_0", 2): "8e91840d052b27d2df1e8807ecff5489802dc51a8042e38ff03cbefd341e9ed1",
+    ("blob48_0", 5): "6014e11bb4f2b849c683bf11d1031969de8534e66b4136dc189da6d48161dca1",
+    ("blob48_0", 8): "6aa9aee5df2ba458e8b6f19f1aa46a67e41b12e878a302139efadf3e019cf5be",
+    ("blob48_1", 2): "43738eb742ec85ef7764acd3967a1a8204b6b3c384fa16009fdeaa061406aac6",
+    ("blob48_1", 5): "fe0ccb77a23f6b1b42bfb6a64964991f73580eaf9f4fe36493688e37bb1507c8",
+    ("blob48_1", 8): "3d1fab1aa9aeb0d6b2a4446c559b6a55573f942a8188095cbc46ef5a4ec3f39b",
     ("blob48_2", 2): "fe0ff6e33e3381c92b34a87b7cc6e2fe1384249dad09a8680fd0ae48d1b4d972",
-    ("blob48_2", 5): "d089daa1d7db651fec7d20c8ffc94ce8411ba1ad4c33873093879e5829e7291e",
-    ("blob48_2", 8): "2324d2040094be9194de0268bd33666c37d4a8ab0695bdf64cb6949c0edf02ee",
-    ("blob48_3", 2): "eeeec70d24f1d6fb37cbc8440a926e86b7095ecd4854edffd3172366de17019f",
-    ("blob48_3", 5): "d73ec35ffb85d1f4d7282ce2152ef63edbdba888636eba481f8a01df732f9f1c",
-    ("blob48_3", 8): "2ae690dac0aeed43a6969fec8a79a66405bdf93041a827f28f6f2355a4a86086",
-    ("blob48_4", 2): "6b9bb1c8cb7230805294a7f46c92d9e2eab33ba37daa15a0fd7e53a45c262339",
-    ("blob48_4", 5): "8600962558f43aae5a82c62e255f5c50f21ff25d46951a66f2f1c56ef843894d",
-    ("blob48_4", 8): "f3b0a14b461d92cd7805c3ec3dcd07903400005ed8a7e7dc0241efb2fac9760e",
-    ("blob48_5", 2): "4cc21d85b84cf2609a691c776d39a2ee7fbcfd32e6440f474299e0d46c8bd0cf",
-    ("blob48_5", 5): "fddafb28d40f71a518b45cf0a6e83e4d0694122b8b743087be837b8f2458ab93",
-    ("blob48_5", 8): "55677b71e2fb541fe4980666c7f93ccb2e013ef9f1f4620577bd5b921894cf01",
+    ("blob48_2", 5): "171179d20cfb74d8726cb228720546525d6291f3a9aa34b22302252b16b24ae0",
+    ("blob48_2", 8): "1fde620649db5937bfb22496bc6d0218fe031dbb61968da0fdbb4975bf501165",
+    ("blob48_3", 2): "2c19e1278eeefb51f7649dfc2bb76da5af3db2a7ea2a2bac8eecca41fc74552e",
+    ("blob48_3", 5): "4b9f3d7e1b18b2d7053af15d8d0adfbfda1dfe1a502b19c742114901302f14eb",
+    ("blob48_3", 8): "30c72d923c6e3acc4b788a39bcbbcc7d7ba2a123d32fe534742c34d7aa130cde",
+    ("blob48_4", 2): "fb5e03e9749d02fefa8fd09e8977062800f4f9ff0aec720ece90505eb87762ff",
+    ("blob48_4", 5): "982fe13977901431a222851a6ffbc87ee95b9f6c91ab3403700d83c203fc1e6b",
+    ("blob48_4", 8): "BalanceError",
+    ("blob48_5", 2): "4ccea009a8690eb093f54bf69e9a8e7eee76fcf859247bbbd385000b422f33a9",
+    ("blob48_5", 5): "050c3e29900ad5daa377883c5268f41caddcf1c9103a5b2ca907e2a3faf19e7e",
+    ("blob48_5", 8): "de13dca36b7c51cdb09d88c07bfba64027a4351b1850cdd322c0ab63c96293d4",
     ("blob48_6", 2): "b6ac2f42b0d33d4dac94fd91a687e050dd51622e78cb1147a8262ab33179c638",
-    ("blob48_6", 5): "5f0ed04f8c0a22b786138952f523539aa4dfbb0d7289716386611df9b7cee0fb",
-    ("blob48_6", 8): "8e765330c71bd0aa9a032743a16c9920b3ae4b72d159c62b973c53c23c5c8061",
-    ("blob48_7", 2): "cbadecc7012d16ce174a487be9c073db60bcbacacfdfafbb3d170eab1ed5b8be",
-    ("blob48_7", 5): "59805cbd9a4db64bcee41714e1763d1c0e3f63aeb278056274cd055bbc94697f",
-    ("blob48_7", 8): "ba3911cf9edea3b1aa508f8018fd2544a16ef7bea166f021ffbac04641fa7e55",
+    ("blob48_6", 5): "1b30d519cedb7a15abccdae2b8d42a5463017821d7a828435c33b51a6b3f6614",
+    ("blob48_6", 8): "c6e7f440a8537948f41ebfbcc326aa907d308f5267ec3dd47316f523f9bee142",
+    ("blob48_7", 2): "12d83d154199a2619ea9196faa0b7427bc57c4e0b823bced8e17e57aa3d4d780",
+    ("blob48_7", 5): "59107d621d73878aa2f16620b57e692e84d49f068fdfea720131aa0eec4dafe0",
+    ("blob48_7", 8): "75d3f282fa9c93183dadccad4c33356c49f5dd780101aa6081f5ca06ff2be868",
     ("blob48_8", 2): "2d03d8cea2b1f4af7bd898f5223298e545d535c8801bff78456a89b377b78f33",
-    ("blob48_8", 5): "f556e311be75e39c05ac658f15f260d7a4fb3926d5f6da68e2d438109b321e77",
-    ("blob48_8", 8): "018a33be5619329dd810d94a5272d0ee00b0c30411c1e2669315e739790f3dc6",
+    ("blob48_8", 5): "97e753d48e28a35bd1aaa1ecd23fa4441ddb0cc26e241c2a7a864ac5eee07bdd",
+    ("blob48_8", 8): "506a1e599319a2de51724aab0a477da582d4df42eab0e99fbe5d5cecdc5e3598",
     ("blob48_9", 2): "0e33c113d66296a3c0c6dce1371f2b6f26c5df665f7d7607e623b48c0ba9df62",
-    ("blob48_9", 5): "d1d69c92c47379bb4b69e086cac78174fd804b7f8f5383a60df631757722d6c7",
-    ("blob48_9", 8): "3b7b238fc4068cd48f3af809735403ee9f2487ee37b56f94f024b84b0873acd4",
-    ("blob48_10", 2): "49db178a918a0fcfa786a5acd754606a8aff51489b47109cbcb7a9a0797f56b5",
-    ("blob48_10", 5): "ea0da1f7001a19b337ea6a8e0dd30a72c75c88e7bcea135c550252d89c18f4b3",
-    ("blob48_10", 8): "bd8690eb88f0a87a5a2d6155eb1ca814b5aa2ea8fa962b170f3a68e96bfffbd7",
+    ("blob48_9", 5): "6867b10da23f6c87b7465de2a0c101a9ae6b7233ada7526cba0a4a5f7299ef70",
+    ("blob48_9", 8): "a4274e65c6c289215d9c99842ea738532c9f0f41bdc6b95b1d19466cb5a4d86a",
+    ("blob48_10", 2): "3defe48a5af17598326368fe1951d682981a3a892d32ce4cc3f4f950e1b7d984",
+    ("blob48_10", 5): "168d85401de478d4df5852e745854366d2ca1f7a857ea0544d21b140ed972645",
+    ("blob48_10", 8): "ef8bc46cf33516cb7bbbbe7a988da0fd1eeb5c04cb4884e4091a322d9010c988",
     ("blob48_11", 2): "27fce027686a4c68468f771a44c03d769f74f09aa9092b7d7603f58288a818a0",
-    ("blob48_11", 5): "2ddaa41466256e06e7a8cf69e91711017ca9013c1b73e1c3b8e535815181b405",
+    ("blob48_11", 5): "53709f9d4fc5d41f67d2b883b3735384f01c4885952b3bdce43563a8163de821",
     ("blob48_11", 8): "CutError",
-    ("blob48_12", 2): "f6e8eb5d52eaabf3f505565052b22779b4088b84009cdf3de8f169f7cc64966c",
-    ("blob48_12", 5): "5367537cd6560b6527e4be21d1a90c61eae88d31dc24349c2da0e89c5fc1d0e7",
-    ("blob48_12", 8): "cea869eb752a0d5d39e5832ff4b3d93019047fcce9c8661e84692f2d32616e93",
-    ("blob48_13", 2): "a1e04fb7c6ba43c3716cb020df0b34e08894499252564056f4b5037eb66fd0e0",
-    ("blob48_13", 5): "a889057388e6037101631fe384ffa7f7e53aeadfdc6d44dc642b36c6d3629eca",
+    ("blob48_12", 2): "e9bb6c392e4902025b0a73f9a1fc7900c4859986c0cedccbda586e04b4e569b0",
+    ("blob48_12", 5): "1647f66077d52842ab008b1a7ae2ef21251fa7c96e950cd9744476362eb80a74",
+    ("blob48_12", 8): "e6d7680018fa4a0b0ae59416a096a53aa968e5ea94aa92e6fdef364ff58681df",
+    ("blob48_13", 2): "a2dcf92543410598a35792c810248fd398adca784fcddba9330a35cdbb6af264",
+    ("blob48_13", 5): "c16d7410feb9b84031c2891ca4689d117ff43d23c9dac45f9f43f577fb9d27c9",
     ("blob48_13", 8): "CutError",
     ("blob48_14", 2): "e6f1e0bf0ff8cdfa6a3a5f040c9a55cabf114db826ab003fab483f4aa8351f15",
-    ("blob48_14", 5): "fb3f5c8d5974a2bb6c6b6ba137ba36cd25383ff8d5b491acb0b8e6a9621a0400",
-    ("blob48_14", 8): "2ffe97f43b18d8fbee143ae372bae7b62dc2def93e9aa04e593ac34874b48926",
-    ("blob48_15", 2): "5a5fb4487a1534de74acbdcacf6c3061b53da46465b1785f8a19be1819d0bbf8",
-    ("blob48_15", 5): "528a0a432481c7fb0af7fbdd1dfd79d3b0ded0392f1e53aae51608d8948f6072",
-    ("blob48_15", 8): "0a683fb14e79f48a0198c2d3569dd34246b193089eceab4a4fd1046236d8589f",
+    ("blob48_14", 5): "c229a6f0f8395625afc61b08b4ac65bca5d1514ac751fa99532cf8f3630a69bd",
+    ("blob48_14", 8): "236a2ec0f802f78d85fd2d25ac64d7dae162c3dfa7b9f09d87d0b6b43c974454",
+    ("blob48_15", 2): "7096b077c5feca6730dccdd2b2e9cd08f6050a56506129fbf984bb66adb84516",
+    ("blob48_15", 5): "d32aaa7cd0c98e7c741299467a8b0d09692d0d9f5551f647562da2cd9eb73b0d",
+    ("blob48_15", 8): "9668f0cc36cd2d0c8b16998da7bed70a2a91503cac409ea439bfcea4d3f3ef28",
     ("blob48_16", 2): "6a030ffee4f65313ce9579c3978fe58420615440fd5bf4ef2a6ffec37597b79b",
     ("blob48_16", 5): "ValidationError",
     ("blob48_16", 8): "ValidationError",
-    ("blob48_17", 2): "cca81dba6b555646e615991ecd530816d53d7a93bae75e0f2cc3bb00857836b3",
-    ("blob48_17", 5): "327784df528ab931063b673ce8ef1ad3434868433201ca2139929de43e735cb3",
-    ("blob48_17", 8): "bedbcddea90a633fbbfd2d546909c57abc5e77414cc8a33013918698a0cd3f6b",
+    ("blob48_17", 2): "5fe000d9e1e3ece742e2a597a7e7ce095b91dd813640122868df9a7fc51d62f0",
+    ("blob48_17", 5): "c1dc33db10ad4dfa329615dafd5266f63c5cdd5dbc3e44db34b284764aad5737",
+    ("blob48_17", 8): "02263545a75f7a52166e465f88d1634ea9e0271504d8c6df5f9bb4badf1dbed1",
     ("blob48_18", 2): "900bc87c9896b67b76d30bcebc9ca82f98e533a1d9125ecb5cb43d62835fff09",
-    ("blob48_18", 5): "4c46eb97fe3a01ee7fbdd04596bc0458d84fac3ac77d61d9f7df873eeaf86860",
-    ("blob48_18", 8): "235ec174d547850e2c7ba629578ded18435977ea32efee633e33163c3d944310",
-    ("blob48_19", 2): "6ad6a16e18449eae673533b9a914683979c73dc477bbb3237577dc770ccb50e7",
-    ("blob48_19", 5): "d2d0f46d3b92d1d8218dfd243fffa1e40a882bf00f27763e2a19db6a04765435",
-    ("blob48_19", 8): "499b595e0a07ba22035c3fd2f342f792f49b981e6c27bf661a6e419fd680cdce",
+    ("blob48_18", 5): "dfecf4a1d865136a5a5d655b16767d5229cc7ddc82283cacb7f2646e00e66e2a",
+    ("blob48_18", 8): "ec8a8613b8ecca24673886ad09092dd331433df1d5daba25e23f1f3dd1f336cf",
+    ("blob48_19", 2): "71010b32947a568ef564a6dba0436bf7a61f581eb6a7344c702c7aa70cd68488",
+    ("blob48_19", 5): "ab647be017a88a441821429db6c9352067b60d40c22f68cf7c3cb0ace8e98fcd",
+    ("blob48_19", 8): "e6e2ce83face8c571386ffe96daf339df94dd5dbcd6dc790f7ae28eec55d5fd5",
     ("blob48_20", 2): "56cd2691a7637ed5c64d47e227274904949c4476667b007e04bd786b990c3a07",
-    ("blob48_20", 5): "BalanceError",
-    ("blob48_20", 8): "cde99b8703f0bfa64f8c75034ea615b8da998d4ff07c141cc0719bdf0eef19db",
-    ("blob48_21", 2): "272d290a5e6ad4bceda9c7f4253bc2eee4229c092e2f27607fd27b77e577efd3",
+    ("blob48_20", 5): "61714ae62c91b0f46f0b123e73c02d8f4ed0d8af3ab8b36eac6bc906d78c1c8c",
+    ("blob48_20", 8): "e6b66f3fd61cdc67e6935fd2331da99851cbbdc6d79ff80e56b4b22942bc6b42",
+    ("blob48_21", 2): "1063d6eb5cad8dad4009146e4113f6eed4c4e127d151163f7aef5fc3ef8c31de",
     ("blob48_21", 5): "CutError",
-    ("blob48_21", 8): "16d194350b901d54763de0016c0c549962b0f36f767be20beda38f5f25dbe57e",
+    ("blob48_21", 8): "a9b22679e4d19c1f0baf78abcec148e657a42547c21c84aa550389ee70cfcb77",
     ("blob48_22", 2): "154cc82293ddebae254fa862651156c46709358e44a97bb7c9b0ee21762a4469",
-    ("blob48_22", 5): "4479664feb20545b919c2b956e61f9f8b30dc8dbd8d2ef2b3b8025b6a355ac61",
-    ("blob48_22", 8): "e6b5a4951147a4ee6bc14186ca3ae6204422fa2ffbd4da365c4b93cc68b9fdf3",
+    ("blob48_22", 5): "551b2aee1eb341e2ef0ecbf24c0f2962f673d250af495af23ac68533b97c336a",
+    ("blob48_22", 8): "762e389ce7f7b80567bcd8cf68f9bb1d65ecf021673256efbda6aee499453d22",
     ("blob48_23", 2): "d58a1ca4c2d2be65815ccf71dd144d3ca84dc0ff08d2b80373543aca1848042d",
-    ("blob48_23", 5): "f98b371febc0dd0eb52bf4f0f3aa58cc56d951f67850bd9bd584c01d919422e5",
-    ("blob48_23", 8): "be048f6f1c442d51ed362814568e42d6e10309549ae083529acc6ed21fa39738",
+    ("blob48_23", 5): "e147ffb2bc76b564bc84483147f80ceea3542197b6b729ebdcb39f3642fb2964",
+    ("blob48_23", 8): "966a61c470a09a554d661680ee4248a886726290a22acb2f46bc0cb447a0db6e",
     ("blob48_24", 2): "b501ab078eb4098cef6f359b0bec12b0f6ba04e4c14c3cf44599125b260ea949",
-    ("blob48_24", 5): "10702ea869e2e04aa7a006915e954f0d58edd5cbdf8c110aa68ea3237c59f9ec",
-    ("blob48_24", 8): "3a5b3ea762a2c11f141c33d1645b3dfdc1bac597a197843b39dc9826a52b106a",
+    ("blob48_24", 5): "4a3a0dffb5b65b2d6cf4f4c2fb35fb39c986fc7fd117728a69b8f6857035604f",
+    ("blob48_24", 8): "1d0060ebc5c299a6a7b665050932d73ff95142b891b9fc3a05bf7d3764b42829",
     ("blob96_0", 2): "c1c388f47560545f92750a8603e7d32dc549e3ca3a14f40c839c99962135bda5",
-    ("blob96_0", 5): "e58d3cc0e7cd9d429cfa40fa5d0fe2791cd6de1a3d2549b8f4b89383288566fb",
+    ("blob96_0", 5): "BalanceError",
     ("blob96_0", 8): "CutError",
     ("blob96_1", 2): "5eff8314accc3417b0b8c60c9a6690a48cda0d47a87a881d243f9f78b3330e4b",
-    ("blob96_1", 5): "282440e7d238fb4adfc7b1e7cad7ffd0175d417472ba1c4d2477634c0f1fbcdf",
-    ("blob96_1", 8): "1b0ba20dcdd7f994447e5058c351bad8de98c84168bc51d5be0c76e4c8da5070",
+    ("blob96_1", 5): "0844d0d914e03027758c3228308ff5cdbc0fcc40a8e3c16297fe48bbe260eb72",
+    ("blob96_1", 8): "9e5c39e1ad75ed3e310cb8d2bf363c7ceea554fe8d349d8ae4724608bf764d00",
     ("blob96_2", 2): "8df9833e8168ea4ac3e2c86686ade5a27f3d523e28d91194aac591eb2b1990b4",
-    ("blob96_2", 5): "b7c68c8cc5a936cee9c0adf5b2bdfd835824f8f51dc9f418041f8057e2cdc5b8",
-    ("blob96_2", 8): "2df4d5ed71638175eb081b59252bc270553cacfdb71c5504ec8caabe87a5f10b",
+    ("blob96_2", 5): "7ffed0ab30fcb0831d156f7a99ed895bc07c0e11222603b82bfe32a4ad709cc7",
+    ("blob96_2", 8): "e718c37639a4a0510461068d73748b3a9fde5131e9151f0e85cd1832416b4625",
     ("blob96_3", 2): "b31ab40964943fec301e4ba5033ebd72625ccda3ac922f4ba4eb720d8a736759",
-    ("blob96_3", 5): "0776b9d997cae63d69edededb5199d3e06e52868e6d9b00af6ebea10eb904d36",
-    ("blob96_3", 8): "de72f31609e81928de7689453f5cb20ea2345c68dd0e93b4b652840155a3b371",
+    ("blob96_3", 5): "d0a2b7742dc90861f3c4fa8fca475a1373f0c981f443bf87e221cd2d3af8dab2",
+    ("blob96_3", 8): "b8ac0e419c75cbfe42936921861384c71da5134fc1949b13771e0fa991ecaf59",
     ("blob96_4", 2): "b775863926818af6be9a180fd5f5e32fe6d0c18b64dc16cd665482bf512e0287",
-    ("blob96_4", 5): "232c20e17fec17e26b5df19e54af6f7134aaf8a2a3eaf913870b110fb2341462",
-    ("blob96_4", 8): "091ff5f71266584d0a66513af6a19a5ff15ba4368d84a1e4190161020cc09ad8",
+    ("blob96_4", 5): "b2b6e419406fd5699fcaff21e707265907999b0d41bd91deb2a9947352bcb332",
+    ("blob96_4", 8): "8f734a0d067f70a4869551ea5e73fca27efc300e5f5debc604190ee7fab27872",
     ("blob96_5", 2): "4eeeb0a4d0a701d9d6015df843d7f89e67a46a9b46129333c7b531e4efe43da0",
     ("blob96_5", 5): "BalanceError",
-    ("blob96_5", 8): "c926fb5cb9d64e2230723ef6875d5429bec8648d35c3804f37ce96e466ccde16",
+    ("blob96_5", 8): "bcd946b7574e85c7e65e5271d55b1f878c6265ca4107e3e625834d0f0419b90b",
     ("blob96_6", 2): "e0091b54aebbb06d365408652d4ef09c2b2ea94e55788719f27557c224cfb911",
-    ("blob96_6", 5): "0c5f6100a3009f69d862c7021119597b1d13227b73adc5f5930b1a657cc820ff",
-    ("blob96_6", 8): "d57d86705753dc59ab301d3aea4412c51f3cd6c921687f8b2ad83bf27f628cde",
-    ("blob96_7", 2): "469ccb43b2d40eeadbe32f4da2a6f21bbffb75a1bb3b7a76a9aea55b8411c623",
-    ("blob96_7", 5): "BalanceError",
-    ("blob96_7", 8): "bf39277f9f88c80232896399bfc3c21de2b09c9c97972cbc1a9311983039d0ad",
-    ("strip_48x384", 4): "c21bf94296d5f5fc1374cc2cb1f4f60e29585d0f34f89af125b7cfec2669d233",
-    ("strip_40x448", 4): "24f6a7b106e25e298c05fe61d4474dca6aa04752a45476dc04a7a3a61d185798",
-    ("strip_56x320", 4): "799be81ef7225b42e5011af0761de9f66a264a01b39e7f57a1bf3f904df41bcf",
-    ("strip_64x512", 4): "dc6bdcc1bf2516cb854463dbb28b15efa1d6e8f84ba5803dd24c9e0963f8f3da",
-    ("strip_128x128", 3): "bd2c6fe040b93b39853bc2951f749ac634f48b56bbfb69d33360b7f5aa24447b",
-    ("strip_256x256", 3): "e735e9fb4642c06190583d98ff3c8f9c673a32852b53da9737c721c22823fde3",
-    ("strip_256x256", 4): "34510a69e0437350dfed4eae9af4754ea08ae19fbd2b8986abf12e1cc83c8ca2",
-    ("strip_256x256", 5): "ad52995018aee22cbfc44d9adc36a877e8ff966694d080fd4e0765416ee2a9d5",
-    ("strip_256x256", 6): "2dd2824ed5da6ece1aafb138bd4ce173fe010e5a23ce8618f2d122d3449e4a14",
+    ("blob96_6", 5): "2d8d37695cafff6093421d2079697e86d7a0dbf8bbc774455c80d8cb4a8527f7",
+    ("blob96_6", 8): "67a34a35a011e5c2f6cecc0244ef7b8cbdde1d2b6fb69eabe67941f61c92f9bd",
+    ("blob96_7", 2): "3477302d9d523f33efb0441fbb9555729bc5ba0085f0e4b5905201f926b1b670",
+    ("blob96_7", 5): "cb2ea3b12cb9ca25cdf1cc17f4ed3ba5cbb6495b7e0753233dd717c802bb57f9",
+    ("blob96_7", 8): "56f16af4def11e603af9f8d24ebbebcdbfc3082397b36102d897f40db0cba0b0",
+    ("strip_48x384", 4): "c9eb2485fa839d6fb51735074592dd43ef0f8af08eacc031c5bfdab0526bda4f",
+    ("strip_40x448", 4): "d16ecc6b56ef6b5e02523809d7f8094d099fc41095bd0dbfb3582f68438b89f4",
+    ("strip_56x320", 4): "144bb5814b8cb039baaee3b0b25a1f4316edadc0da83d26d083a2fab395456f2",
+    ("strip_64x512", 4): "9785525758599b708f36394fffee1f926eca77fcf94265a37aa2db982736a71c",
+    ("strip_128x128", 3): "a1db8752a29a585e0d105dd5ddc566d5a3ca4b1bc6b305c304ad78e3feec4537",
+    ("strip_256x256", 3): "434fe8012e47167535f642ee6810581b0a4ff632712f34fbe722817bd9a7b456",
+    ("strip_256x256", 4): "1aea23262f9ee0b67c8ee039e60398826b22f5279d5e740007d8ca4012fae1c0",
+    ("strip_256x256", 5): "cafc5928ca7639612da4070bb0945e2a527dbd179149631e7396613358ed8d2e",
+    ("strip_256x256", 6): "e34545f6aeac8b5e7962d6163f2229fd99cbfa0c0a62a92b255e7bffa72beaaa",
 }
 
 # Filled strips one to three voxels wide, where balancing and the trim move
@@ -144,11 +144,11 @@ THIN_STRIPS = {
     ("strip_2x200", 5): "7f825f9689a8676eea7b4eb3feb8cca67effd1d993c4460d663b97d6b7ac07d5",
     ("strip_2x200", 7): "3649b204fdc8eeb14373b8f8bf125d0e4251934b1bd26b1caf805a057f2b407a",
     ("strip_2x200", 9): "19167f7855c23aac6cbebc99bfd0a89840272bef90239892ea06c6efd534bcdb",
-    ("strip_3x97", 2): "cb29a9fae681037ee32e88bb36a8724b36c6ed4fc81c294bc8cb5204698ecbf4",
-    ("strip_3x97", 3): "d54ba9af2047e44b80cd5c65dcda301f216b7fbdf00928fc70c3958ca633f23c",
-    ("strip_3x97", 5): "a764d4468a2d6ff993342dcaac5bbd5f78e76b0239ff816b988a86fb74a51df9",
-    ("strip_3x97", 7): "0f43929ba9d271e2cae3a74e3b726f0ae17a38a1cd73b80ccb904309335b2f2f",
-    ("strip_3x97", 9): "4ab7f48ca105f7bd66be62822e393e1ae84fb24f32d821ec5a0c151ba18f9b0c",
+    ("strip_3x97", 2): "3a79ec1b388798b4e73071a0567a3db9eb65963a4d7801be88c7229f392259b0",
+    ("strip_3x97", 3): "e9893232556565402cc13999e2acba12bda5cd44be92677fcfc68f4b5217128d",
+    ("strip_3x97", 5): "9c6624296ba7fde30b3ae668d3f434b6198ed360817e77c30407a571f7877909",
+    ("strip_3x97", 7): "e66b1450aa09adba93e62d6db63271c5681294fce2ceb684e9f3ae78971794c3",
+    ("strip_3x97", 9): "f6c55b157d8e06b7bbbae776d73ebde209bcf1b02352a54939387d5424e8e5d8",
     ("strip_1x61", 2): "b72f4e30a2bbece8efcb2167cc6b7c2fddb93c56a382c7f05f4df1f3fd753194",
     ("strip_1x61", 3): "18085fbc526e7ee50f2482134c8ac1ec9ed8dbe791df8dc764170368cb5e053b",
     ("strip_1x61", 5): "185ee5b2ef9df1f3541ebff1ceac9ba76b0b1d326fc649f304ac085575ca8845",
@@ -158,15 +158,15 @@ THIN_STRIPS = {
 
 # The message of every error case in EXPECTED.
 MESSAGES = {
+    ("blob48_4", 8): "balance failed; region areas: 1: 68, 2: 86, 3: 77, 4: 77, 5: 77, 6: 77, 7: 77, 8: 82",
     ("blob48_11", 8): "cut failed at segment 7",
     ("blob48_13", 8): "cut failed at segment 6",
     ("blob48_16", 5): "k too large for region (centerline has 5 voxels, need at least 11)",
     ("blob48_16", 8): "k too large for region (centerline has 5 voxels, need at least 17)",
-    ("blob48_20", 5): "balance failed; region areas: 1: 162, 2: 143, 3: 158, 4: 128, 5: 128",
     ("blob48_21", 5): "cut failed at segment 3",
+    ("blob96_0", 5): "balance failed; region areas: 1: 168, 2: 522, 3: 354, 4: 644, 5: 425",
     ("blob96_0", 8): "cut failed at segment 5",
     ("blob96_5", 5): "balance failed: region 5 is not 4-connected",
-    ("blob96_7", 5): "balance failed; region areas: 1: 353, 2: 307, 3: 312, 4: 286, 5: 277",
 }
 
 

@@ -325,6 +325,14 @@ def areas_of(labels, k):
     return [int((labels == j).sum()) for j in range(1, k + 1)]
 
 
+def assert_valid_partition(mask, labels, k):
+    """Parts 1..k of floor(A/k) voxels each, every one a 4-piece, inside the mask."""
+    assert areas_of(labels, k) == [int(mask.sum()) // k] * k
+    assert (labels[~mask] == 0).all()
+    for j in range(1, k + 1):
+        assert flood_fill_components(labels == j, 4)[1] == 1
+
+
 class TestSubdivide:
     def test_rectangle_vertical_bands(self):
         mask = np.ones((16, 64), dtype=bool)
@@ -630,31 +638,43 @@ class TestBalanceAreas:
             assert count == 1
 
     @pytest.mark.parametrize("seed, k", [(19, 3), (4, 5)])
-    def test_routed_flow_uses_most_of_its_budget(self, seed, k, monkeypatch):
-        # after pair equalizing these shapes route 526 and 682 voxels, over
-        # half of the routed flow's budget of 200 k moves
-        routed, route, strip_move = [], subdivision._route_to_deficit, subdivision._strip_move
-
-        def routing(*args):
-            routed.append(0)
-            return route(*args)
-
-        def counted(parts, give, take, limit, arrival):
-            moved = strip_move(parts, give, take, limit, arrival)
-            if routed and take:  # a routed move, not the trim
-                routed.append(moved)
-            return moved
-
-        monkeypatch.setattr(subdivision, "_route_to_deficit", routing)
-        monkeypatch.setattr(subdivision, "_strip_move", counted)
+    def test_large_drift_balances_into_a_valid_partition(self, seed, k):
+        # cuts on these shapes leave a large drift: balancing moves 1,082
+        # and 737 voxels between parts
         mask = make_blob(seed, size=96)
         labels = subdivide_equal(mask, k)
-        assert 100 * k < sum(routed) < 200 * k
-        assert areas_of(labels, k) == [int(mask.sum()) // k] * k
-        assert (labels[~mask] == 0).all()
-        for j in range(1, k + 1):
-            _, count = flood_fill_components(labels == j, 4)
-            assert count == 1
+        assert_valid_partition(mask, labels, k)
+
+    @pytest.mark.parametrize("seed, size, k", [(23, 48, 5), (23, 48, 8), (13, 48, 4), (13, 48, 5), (4, 96, 8)])
+    def test_a_blocked_pair_rebuilds_the_tree(self, seed, size, k, monkeypatch):
+        # On these shapes a strip toward a part moves nothing; balancing
+        # blocks that pair and still succeeds on a tree without it.
+        stuck, trees = [], []
+        strip_move, spanning_tree = subdivision._strip_move, subdivision._spanning_tree
+
+        def counted_strip(parts, give, take, limit, arrival):
+            moved = strip_move(parts, give, take, limit, arrival)
+            if take and not moved:  # toward a part, not the trim
+                stuck.append((give, take))
+            return moved
+
+        def counted_tree(*args):
+            trees.append(args)
+            return spanning_tree(*args)
+
+        monkeypatch.setattr(subdivision, "_strip_move", counted_strip)
+        monkeypatch.setattr(subdivision, "_spanning_tree", counted_tree)
+        mask = make_blob(seed, size=size)
+        labels = subdivide_equal(mask, k)
+        assert stuck
+        assert 2 <= len(trees) <= k * (k - 1) // 2 + 1
+        assert_valid_partition(mask, labels, k)
+
+    def test_parts_that_never_touch_fail_with_their_areas(self):
+        labels = np.array([[1, 0, 2, 2, 2]], dtype=np.int32)
+        with pytest.raises(BalanceError) as err:
+            balance_areas(labels, 2, np.ones(labels.shape))
+        assert str(err.value) == "balance failed; region areas: 1: 1, 2: 3"
 
     def test_trim_prefers_large_arrival(self):
         # region 2 must lose exactly one voxel, the one with max arrival
@@ -666,7 +686,7 @@ class TestBalanceAreas:
         assert out[0, 8] == 0  # largest x + y in region 2
 
     def test_trim_takes_only_voxels_on_the_background(self):
-        # Pair equalizing moves (0, 4) to region 1; region 2 then trims one
+        # The tree flow moves (0, 4) to region 1; region 2 then trims one
         # voxel. Its largest arrival is at (1, 6), enclosed by region 2, so
         # trimming it would open a hole: the trim takes (0, 8), the largest
         # arrival on region 2's border with the background.
