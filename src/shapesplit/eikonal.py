@@ -179,16 +179,16 @@ def descend(field: ArrivalField, start) -> list[tuple[int, int]]:
         raise ValidationError(f"start ({x}, {y}) has no finite arrival time")
 
     path = [(x, y)]
-    while u[y, x] != 0.0:
+    best_val = u.item(y, x)  # item reads a Python float, cheaper to compare than a numpy scalar
+    while best_val != 0.0:  # best_val is always the arrival at (x, y)
         best = None
-        best_val = u[y, x]
         for dx, dy in NEIGHBOR_STEPS_8:
             nx = x + dx
             ny = y + dy
             if not (0 <= nx < w and 0 <= ny < h):
                 continue
-            if u[ny, nx] < best_val:
-                best_val = u[ny, nx]
+            if u.item(ny, nx) < best_val:
+                best_val = u.item(ny, nx)
                 best = (nx, ny)
         if best is None:
             raise ValidationError(

@@ -23,7 +23,6 @@ sufficient.
 from __future__ import annotations
 
 import math
-from itertools import islice
 from typing import NamedTuple
 
 import numpy as np
@@ -309,16 +308,11 @@ def _ring_entry(pattern: int) -> tuple[int, int]:
 
 
 _RING_TABLE = [_ring_entry(pattern) for pattern in range(256)]
-
-
-def _pattern(ring: tuple[int, ...], j: int) -> int:
-    """The bit pattern of ``_ring_entry``: bit i set where ring label i is ``j``."""
-    return ((ring[0] == j) + 2 * (ring[1] == j) + 4 * (ring[2] == j) + 8 * (ring[3] == j) + 16 * (ring[4] == j)
-            + 32 * (ring[5] == j) + 64 * (ring[6] == j) + 128 * (ring[7] == j))
+_RING_QUADS = np.array(_RING_TABLE)[:, 1]
 
 
 class _Parts:
-    """The parts of one balancing call, updated per moved voxel.
+    """The parts of one balancing call, updated per moved voxel by ``_strip_move``.
 
     ``lab`` is the labels' box padded with background, so a part voxel's
     neighbors need no bounds checks, and ``flat`` its row-major list. Per
@@ -335,7 +329,7 @@ class _Parts:
         inner, (h, w) = lab[1:-1, 1:-1], lab.shape
         before = [(i, dx, dy) for i, (dx, dy) in enumerate(_RING) if (dy, dx) < (0, 0)]
         pattern = sum((lab[1 + dy : h - 1 + dy, 1 + dx : w - 1 + dx] == inner) << i for i, dx, dy in before)
-        quads = np.bincount(inner.ravel(), np.array(_RING_TABLE)[pattern, 1].ravel(), k + 1)
+        quads = np.bincount(inner.ravel(), _RING_QUADS[pattern].ravel(), k + 1)
         pairs = ((lab[:, :-1], lab[:, 1:]), (lab[:-1], lab[1:]))
         touch = sum(np.bincount((a * (k + 1) + b).ravel(), minlength=(k + 1) ** 2) for a, b in pairs)
         touch = touch.reshape(k + 1, k + 1)
@@ -346,11 +340,6 @@ class _Parts:
         cols = np.bincount((lab + n * np.arange(w)).ravel(), minlength=n * w).reshape(w, n).T > 0
         y0, y1, x0, x1 = (a.argmax(axis=1) for a in (rows, rows[:, ::-1], cols, cols[:, ::-1]))
         self.boxes = np.stack([y0, h - 1 - y1, x0, w - 1 - x1], axis=1).tolist()
-
-    def around(self, i: int) -> tuple[int, ...]:
-        """The labels around flat voxel ``i``, in ``_RING`` order."""
-        f, w = self.flat, self.width
-        return f[i - w], f[i - w + 1], f[i + 1], f[i + w + 1], f[i + w], f[i + w - 1], f[i - 1], f[i - w - 1]
 
     def border(self, give: int, take: int) -> tuple[np.ndarray, np.ndarray]:
         """``(ys, xs)`` of part ``give``'s voxels 4-adjacent to part ``take``, row-major."""
@@ -365,42 +354,6 @@ class _Parts:
         ys, xs = near.nonzero()
         return ys + y0, xs + x0
 
-    def move(self, y: int, x: int, take: int) -> None:
-        """Relabel part voxel (y, x) to ``take``; 0 trims it."""
-        i, flat, touch = y * self.width + x, self.flat, self.touch
-        ring = self.around(i)  # read once for both parts
-        for j, sign in ((flat[i], -1), (take, 1)):
-            self.areas[j] += sign
-            self.quads[j] += sign * _RING_TABLE[_pattern(ring, j)][1]
-            for v in ring[::2]:
-                touch[j][v] += sign
-                touch[v][j] += sign
-        flat[i] = self.lab[y, x] = take
-        box = self.boxes[take]
-        box[:] = min(box[0], y), max(box[1], y), min(box[2], x), max(box[3], x)
-
-
-def _removable(parts: _Parts, j: int, cand):
-    """The voxels of ``cand``, as (y, x), that can leave part ``j`` in turn, keeping it 4-connected.
-
-    A voxel can iff its in-part 4-neighbors reach each other without it: at
-    once when they form one ring group (see ``_ring_entry``), never with no
-    group. Several groups of a part without holes never meet, as a path
-    between two would close a loop around the background corner between
-    them. Each voxel is tested against the part as it stands at its turn.
-    """
-    flat, width, around = parts.flat, parts.width, parts.around
-    for y, x in cand:
-        i = y * width + x
-        groups = _RING_TABLE[_pattern(around(i), j)][0] if flat[i] == j else 0
-        if groups > 1 and parts.quads[j] != 4:  # around a hole, the groups may meet
-            y0, y1, x0, x1 = parts.boxes[j]
-            rest = parts.lab[y0 : y1 + 1, x0 : x1 + 1] == j
-            rest[y - y0, x - x0] = False
-            groups = 1 if _label_runs(rest, 4)[1] == 1 else groups
-        if groups == 1:
-            yield y, x
-
 
 def _strip_move(parts: _Parts, give: int, take: int, limit: int, arrival) -> int:
     """Move up to ``limit`` border voxels from ``give`` to ``take``; ``take`` 0 is the background.
@@ -414,15 +367,54 @@ def _strip_move(parts: _Parts, give: int, take: int, limit: int, arrival) -> int
     4-connected and nonempty; every moved voxel borders the receiver, so it
     joins background the donor already touches and opens no hole. Returns
     the number of voxels moved.
+
+    Each candidate is tested against the donor as it stands at its turn. Its
+    eight ring labels are read once; the donor's ``_RING_TABLE`` entry gives
+    its ring groups and quad change, the receiver's its quad change. A voxel
+    can leave iff its in-donor 4-neighbors reach each other without it: at
+    once when they form one ring group, never with no group. Several groups
+    of a donor without holes never meet, as a path between two would close a
+    loop around the background corner between them; around a hole, one
+    labeling of the donor's box tells.
     """
     if limit <= 0:
         return 0
     ys, xs = parts.border(give, take)
     order = arrival[ys, xs].argsort(kind="stable")  # stable: ties stay row-major
-    cand = zip(ys[order].tolist(), xs[order].tolist())
+    flat, lab, width, areas, quads, touch = parts.flat, parts.lab, parts.width, parts.areas, parts.quads, parts.touch
+    table, box, tg, tt = _RING_TABLE, parts.boxes[take], touch[give], touch[take]
     moved = 0
-    for moved, (y, x) in enumerate(islice(_removable(parts, give, cand), limit), 1):
-        parts.move(y, x, take)
+    for y, x in zip(ys[order].tolist(), xs[order].tolist()):
+        i = y * width + x  # the ring, in _RING order; read once for the test and the move
+        a, b = i - width, i + width
+        n, ne, e, se = flat[a], flat[a + 1], flat[i + 1], flat[b + 1]
+        s, sw, w, nw = flat[b], flat[b - 1], flat[i - 1], flat[a - 1]
+        groups, lose = table[(n == give) + 2 * (ne == give) + 4 * (e == give) + 8 * (se == give)
+                             + 16 * (s == give) + 32 * (sw == give) + 64 * (w == give) + 128 * (nw == give)]
+        if groups > 1 and quads[give] != 4:  # around a hole, the groups may meet
+            y0, y1, x0, x1 = parts.boxes[give]
+            rest = lab[y0 : y1 + 1, x0 : x1 + 1] == give
+            rest[y - y0, x - x0] = False
+            groups = 1 if _label_runs(rest, 4)[1] == 1 else groups
+        if groups != 1:
+            continue
+        gain = table[(n == take) + 2 * (ne == take) + 4 * (e == take) + 8 * (se == take)
+                     + 16 * (s == take) + 32 * (sw == take) + 64 * (w == take) + 128 * (nw == take)][1]
+        areas[give] -= 1
+        areas[take] += 1
+        quads[give] -= lose
+        quads[take] += gain
+        for v in (n, e, s, w):
+            tg[v] -= 1
+            tt[v] += 1
+            touch[v][give] -= 1
+            touch[v][take] += 1
+        flat[i] = lab[y, x] = take
+        if not (box[0] <= y <= box[1] and box[2] <= x <= box[3]):
+            box[:] = min(box[0], y), max(box[1], y), min(box[2], x), max(box[3], x)
+        moved += 1
+        if moved == limit:
+            break
     return moved
 
 
@@ -476,8 +468,9 @@ def balance_areas(labels, k: int, arrival) -> np.ndarray:
        breaking the region or opening a hole.
 
     Every region ends 4-connected with exactly T voxels. Every step moves
-    voxels by ``_strip_move`` on one ``_Parts`` state updated per moved
-    voxel: areas, Euler numbers, adjacency counts, boxes.
+    voxels by ``_strip_move``, which reads each candidate's ring once, for
+    its removal test and for its update of the one ``_Parts`` state: areas,
+    Euler numbers, adjacency counts, boxes.
 
     Raises
     ------

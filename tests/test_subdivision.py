@@ -18,7 +18,7 @@ from shapesplit import (
 from shapesplit.eikonal import ArrivalField
 from shapesplit.grid import _box
 from shapesplit import subdivision
-from shapesplit.subdivision import _RING, _RING_TABLE, _band, _joins, _Parts, _removable, _strip_move
+from shapesplit.subdivision import _RING, _RING_TABLE, _band, _joins, _Parts, _strip_move
 
 from conftest import make_blob
 from oracles import adjacent_label_pairs, bit_quad_sum, euler_number, flood_fill_components
@@ -608,13 +608,11 @@ class TestBalanceAreas:
 
     def test_exit_failure_names_the_lowest_split_region(self, monkeypatch):
         # Balancing never splits a part, so the exit check is reached only
-        # with a removal test that lets every voxel go. Region 2 gives its
-        # three voxels above region 1, region 3 the one under column 4; both
-        # end split, with the areas equal at 7.
-        def any_voxel(parts, j, cand):
-            return ((y, x) for y, x in cand if parts.flat[y * parts.width + x] == j)
-
-        monkeypatch.setattr(subdivision, "_removable", any_voxel)
+        # with a removal test that lets every voxel go: a ring table of one
+        # group everywhere. Region 2 gives its three voxels above region 1,
+        # region 3 the one under column 4; both end split, with the areas
+        # equal at 7.
+        monkeypatch.setattr(subdivision, "_RING_TABLE", ONE_GROUP_TABLE)
         labels = np.zeros((3, 10), dtype=np.int32)
         labels[0] = 2
         labels[1, 3:6] = 1
@@ -715,11 +713,42 @@ def one_part(region):
     return _Parts(np.pad(region, 1).astype(np.int32), 1)
 
 
-class TestStaysConnectedWithout:
+# The ring table with one ring group for every pattern: a removal test that
+# lets every voxel go, with the true quad changes.
+ONE_GROUP_TABLE = [(1, change) for _, change in _RING_TABLE]
+
+
+def flood_fill_replay(part, cand, limit):
+    """The reference removal scan, by flood fill: ``(moved, left)``.
+
+    Takes, in ``cand`` order, up to ``limit`` voxels whose removal leaves
+    the boolean ``part`` one 4-piece, each tested against what is left.
+    """
+    left, moved = part.copy(), []
+    for yx in cand:
+        if len(moved) == limit:
+            break
+        rest = left.copy()
+        rest[yx] = False
+        if flood_fill_components(rest, 4)[1] == 1:
+            moved.append(yx)
+            left = rest
+    return moved, left
+
+
+def strip_over(parts, cand, give, take, limit):
+    """``_strip_move`` with ``cand``, a list of (y, x), as the border, in that order."""
+    ys, xs = np.array(cand, dtype=np.intp).reshape(-1, 2).T
+    parts.border = lambda g, t: (ys, xs)  # equal arrivals: the stable sort keeps the order
+    return _strip_move(parts, give, take, limit, np.zeros(parts.lab.shape))
+
+
+class TestStripMoveRemoval:
     @pytest.mark.parametrize("seed", range(3))
     def test_matches_flood_fill_oracle(self, seed):
         # every voxel of every 4-component of small random masks, holes
-        # included, probed one at a time through the removal scan
+        # included, probed one at a time as a one-voxel strip to the
+        # background, each on a fresh state
         rng = np.random.default_rng(seed)
         for _ in range(120):
             h, w = (int(v) for v in rng.integers(1, 10, size=2))
@@ -728,15 +757,14 @@ class TestStaysConnectedWithout:
             for c in range(1, count + 1):
                 region = comps == c
                 _, background = flood_fill_components(~np.pad(region, 1), 8)
-                parts = one_part(region)
-                assert (parts.quads[1] != 4) == (background > 1)
+                assert (one_part(region).quads[1] != 4) == (background > 1)
                 for y, x in np.argwhere(region):
                     rest = region.copy()
                     rest[y, x] = False
                     truth = flood_fill_components(rest, 4)[1] == 1
-                    yx = (int(y) + 1, int(x) + 1)
-                    assert list(_removable(parts, 1, [yx])) == ([yx] if truth else [])
-                assert np.array_equal(parts.lab[1:-1, 1:-1] == 1, region)  # probes move nothing
+                    parts = one_part(region)
+                    assert strip_over(parts, [(y + 1, x + 1)], 1, 0, 1) == truth
+                    assert np.array_equal(parts.lab[1:-1, 1:-1] == 1, rest if truth else region)
 
     @pytest.mark.parametrize("seed", range(3))
     def test_scan_removes_in_turn(self, seed):
@@ -750,18 +778,9 @@ class TestStaysConnectedWithout:
             region = np.pad(comps == int(np.argmax(np.bincount(comps.ravel())[1:])) + 1, 1)
             cand = [(int(y), int(x)) for y, x in rng.permutation(np.argwhere(region))]
             parts = _Parts(region.astype(np.int32), 1)
-            got = []
-            for y, x in _removable(parts, 1, cand):
-                parts.move(y, x, 0)
-                got.append((y, x))
-            left, want = region.copy(), []
-            for y, x in cand:
-                rest = left.copy()
-                rest[y, x] = False
-                if flood_fill_components(rest, 4)[1] == 1:
-                    want.append((y, x))
-                    left = rest
-            assert got == want
+            got = strip_over(parts, cand, 1, 0, len(cand))
+            want, left = flood_fill_replay(region, cand, len(cand))
+            assert got == len(want)
             assert np.array_equal(parts.lab == 1, left)
 
     def test_loop_around_a_hole_needs_the_search(self):
@@ -770,8 +789,8 @@ class TestStaysConnectedWithout:
         ring = np.ones((3, 3), dtype=bool)
         ring[1, 1] = False
         assert one_part(ring).quads[1] != 4
-        assert list(_removable(one_part(ring), 1, [(1, 2)])) == [(1, 2)]
-        assert list(_removable(one_part(ring[:2]), 1, [(1, 2)])) == []
+        assert strip_over(one_part(ring), [(1, 2)], 1, 0, 1) == 1
+        assert strip_over(one_part(ring[:2]), [(1, 2)], 1, 0, 1) == 0
 
 
 def ring_patch(pattern: int, centre: bool) -> np.ndarray:
@@ -827,9 +846,11 @@ def assert_state_exact(parts: _Parts, k: int) -> None:
 
 class TestParts:
     @pytest.mark.parametrize("seed", range(4))
-    def test_random_moves_match_a_recount(self, seed):
+    def test_random_moves_match_a_recount(self, seed, monkeypatch):
         # random multi-label maps, every part present at the start; random
-        # part voxels move to random other labels, 0 (a trim) included
+        # part voxels move to random other labels, 0 (a trim) included, each
+        # as a one-voxel strip that the one-group table lets go
+        monkeypatch.setattr(subdivision, "_RING_TABLE", ONE_GROUP_TABLE)
         rng = np.random.default_rng(seed)
         for _ in range(12):
             h, w = (int(v) for v in rng.integers(2, 9, size=2))
@@ -847,30 +868,66 @@ class TestParts:
                     break
                 n = int(rng.integers(ys.size))
                 y, x = int(ys[n]), int(xs[n])
-                take = int(rng.choice([t for t in range(k + 1) if t != parts.lab[y, x]]))
-                parts.move(y, x, take)
+                give = int(parts.lab[y, x])
+                take = int(rng.choice([t for t in range(k + 1) if t != give]))
+                assert strip_over(parts, [(y, x)], give, take, 1) == 1
+                del parts.border
                 assert_state_exact(parts, k)
 
 
 class TestStripMove:
     @pytest.mark.parametrize("sign", [1, -1])  # the trim passes the negated arrival
-    def test_moves_in_ascending_arrival_row_major_on_ties(self, monkeypatch, sign):
+    def test_moves_in_ascending_arrival_row_major_on_ties(self, sign):
         # Part 1 is rows 2-4 between two rows of part 2: its 40-voxel border
         # is rows 2 and 4, every voxel removable in any order. Arrivals take
         # three values, so most voxels tie; an unstable sort reorders ties.
+        # A strip of limit n moves the first n, so the nth moved voxel is
+        # the one limit n moves and limit n - 1 does not.
         lab = np.zeros((7, 22), dtype=np.int32)
         lab[1:6, 1:21] = 2
         lab[2:5, 1:21] = 1
         yy, xx = np.mgrid[0:7, 0:22]
         arrival = sign * ((7 * xx + yy) % 3).astype(float)
-        parts = _Parts(lab, 2)
         moved = []
-        move = parts.move
-        monkeypatch.setattr(parts, "move", lambda y, x, take: (moved.append((y, x)), move(y, x, take)))
-        assert _strip_move(parts, 1, 2, 40, arrival) == 40
+        for limit in range(1, 41):
+            parts = _Parts(lab.copy(), 2)
+            assert _strip_move(parts, 1, 2, limit, arrival) == limit
+            new = [(int(y), int(x)) for y, x in np.argwhere((parts.lab == 2) & (lab == 1)) if (y, x) not in moved]
+            assert len(new) == 1
+            moved += new
         border = [(y, x) for y in (2, 4) for x in range(1, 21)]
         assert moved == sorted(border, key=lambda yx: (arrival[yx], yx))
         assert parts.areas[1:] == [20, 80]
+        assert_state_exact(parts, 2)
+
+    def test_around_a_hole_the_long_way_round_decides(self, monkeypatch):
+        # Part 1 is a ring around a background hole with a tail on its top
+        # right; part 2 lies along the top of both, so part 1's border is
+        # row 2, columns 1-8. (2, 6), tried first, and (2, 3), tried second,
+        # both have two ring groups, left and right. Without (2, 6) the tail
+        # has no other way in, so it stays; without (2, 3) the ring joins the
+        # two the long way round, so it moves and the hole opens. Both take
+        # the labeling of part 1's box; the rest go in row-major order.
+        lab = np.zeros((8, 11), dtype=np.int32)
+        lab[1, 1:10] = 2
+        lab[2:7, 1:6] = 1
+        lab[3:6, 2:5] = 0
+        lab[2, 6:9] = 1
+        arrival = np.full(lab.shape, 10.0) + np.arange(11)
+        arrival[2, 6], arrival[2, 3] = 0.0, 1.0
+        labelings = []
+        label_runs = subdivision._label_runs
+        monkeypatch.setattr(subdivision, "_label_runs", lambda *a: labelings.append(a) or label_runs(*a))
+        parts = _Parts(lab.copy(), 2)
+        assert parts.quads[1] != 4
+        moved = _strip_move(parts, 1, 2, 8, arrival)
+        assert len(labelings) == 2
+        cand = sorted(((2, x) for x in range(1, 9)), key=lambda yx: (arrival[yx], yx))
+        want, left = flood_fill_replay(lab == 1, cand, 8)
+        assert (2, 3) in want and (2, 6) not in want
+        assert moved == len(want) == 4
+        assert np.array_equal(parts.lab == 1, left)
+        assert_state_exact(parts, 2)
 
 
 class TestSubdivideEqual:
