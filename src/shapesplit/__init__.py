@@ -38,8 +38,6 @@ from .io import (
 from .subdivision import (
     Cut,
     balance_areas,
-    cut_band,
-    normal_at,
     sample_cut_points,
     subdivide,
 )
@@ -61,12 +59,10 @@ __all__ = [
     "argmax_field",
     "balance_areas",
     "connected_components",
-    "cut_band",
     "descend",
     "euclidean_distance_map",
     "extract_centerline",
     "fast_march",
-    "normal_at",
     "read_field_csv",
     "read_labelmap",
     "read_mask",

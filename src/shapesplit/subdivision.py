@@ -7,13 +7,14 @@ every cut before moving on. Balancing then equalizes the region areas by
 one flow of border strips along a maximum spanning tree of the regions,
 and trims the division remainder from the last region as one more strip,
 into the background, so that all areas come out exactly equal. It keeps
-the areas, Euler numbers, adjacency and boxes of the parts up to date voxel
-by voxel, so no exchange rescans the grid. Connectivity is asked at the size
-of the question: each cut labels what is left to label on its bounding box,
-a band and its 4-pieces are read off the rows of its line, which hold one
-voxel or two side by side, a new part is one piece when every 4-piece of
-its band touches the piece behind the cut, and one labeling of the label
-map checks all parts at once.
+the labels, Euler numbers and boxes of the parts up to date voxel by voxel,
+so no exchange rescans the grid; the areas and border lengths, which only
+building a tree reads, are counted from the labels once per tree.
+Connectivity is asked at the size of the question: each cut labels what is
+left to label on its bounding box, a band and its 4-pieces are read off the
+rows of its line, which hold one voxel or two side by side, a new part is
+one piece when every 4-piece of its band touches the piece behind the cut,
+and one labeling of the label map checks all parts at once.
 
 Regions use 4-connectivity, paths and cut bands 8-connectivity; an
 8-connected band 4-separates the plane, which is what makes one-voxel cuts
@@ -22,7 +23,6 @@ sufficient.
 
 from __future__ import annotations
 
-import math
 from typing import NamedTuple
 
 import numpy as np
@@ -31,7 +31,6 @@ from .exceptions import BalanceError, CutError, ValidationError
 from .grid import _box, _label_runs
 from .validation import (
     _as_int,
-    check_coord,
     check_labelmap,
     check_mask,
     check_path,
@@ -49,28 +48,13 @@ class Cut(NamedTuple):
 
 
 def _tangent(pts: list[tuple[int, int]], i: int) -> tuple[int, int]:
-    """``normal_at`` on a path and interior index that are already validated."""
+    """Direction of a validated path at interior index ``i``: ``(x[i+1] - x[i-1], y[i+1] - y[i-1])``.
+
+    The cut at ``i`` is the line through ``pts[i]`` perpendicular to it.
+    """
     dx = pts[i + 1][0] - pts[i - 1][0]
     dy = pts[i + 1][1] - pts[i - 1][1]
     return dx, dy
-
-
-def normal_at(path, i: int) -> tuple[int, int]:
-    """Direction of the path at interior index ``i``.
-
-    Computed from the two surrounding voxels as
-    ``(x[i+1] - x[i-1], y[i+1] - y[i-1])``; the perpendicular cut at ``i``
-    consists of the voxels whose offset from the anchor is orthogonal to
-    this vector.
-    """
-    pts = check_path(path)
-    try:
-        i = _as_int(i)
-    except (TypeError, ValueError, OverflowError):
-        raise ValidationError(f"path index must be an integer, got {i!r}") from None
-    if not 1 <= i <= len(pts) - 2:
-        raise ValidationError(f"index {i} needs two path neighbors (valid range 1..{len(pts) - 2})")
-    return _tangent(pts, i)
 
 
 def sample_cut_points(path, k: int) -> list[Cut]:
@@ -164,28 +148,6 @@ def _joins(band: tuple[np.ndarray, np.ndarray], piece: np.ndarray, comps: np.nda
     return bool(np.bincount(piece[near], minlength=piece[-1] + 1).all())
 
 
-def cut_band(mask, anchor, normal) -> set[tuple[int, int]]:
-    """Voxels of the one-voxel-thick cut through ``anchor``.
-
-    Only voxels 8-connected to the anchor within the band are included.
-    """
-    m = check_mask(mask, require_nonempty=True)
-    x, y = check_coord(anchor, m.shape)
-    if not m[y, x]:
-        raise ValidationError(f"anchor ({x}, {y}) is not a true voxel of the mask")
-    try:
-        nx, ny = (float(v) for v in normal)
-    except (TypeError, ValueError):
-        raise ValidationError(f"cut normal must be an (nx, ny) pair, got {normal!r}") from None
-    if not np.isfinite((nx, ny)).all() or nx == ny == 0:
-        raise ValidationError(f"cut normal must be finite and nonzero, got {normal!r}")
-    # A power of two scales exactly: with the larger component in [0.5, 1),
-    # the band's products cannot overflow and its bits are those of any scale.
-    e = math.frexp(max(abs(nx), abs(ny)))[1]
-    (ys, xs), _ = _band(m, (x, y), (math.ldexp(nx, -e), math.ldexp(ny, -e)))
-    return set(zip(xs.tolist(), ys.tolist()))
-
-
 def subdivide(mask, path, plan: list[Cut]) -> np.ndarray:
     """Label the region into ``len(plan) + 1`` parts along the centerline.
 
@@ -196,7 +158,8 @@ def subdivide(mask, path, plan: list[Cut]) -> np.ndarray:
     last cut gets the final label. ``plan`` holds ``(index, anchor, normal)``
     triples, as ``sample_cut_points`` returns them, whose path indices
     increase strictly within ``1..L-2`` and whose anchor and normal are the
-    path voxel and ``normal_at`` direction at that index.
+    path voxel at that index and the path's direction there,
+    ``(x[i+1] - x[i-1], y[i+1] - y[i-1])``.
 
     A cut that strands a piece off the path, or leaves its part in pieces,
     moves along the path by +1, -1, +2, -2, ... over every unlabeled path
@@ -315,25 +278,20 @@ class _Parts:
     """The parts of one balancing call, updated per moved voxel by ``_strip_move``.
 
     ``lab`` is the labels' box padded with background, so a part voxel's
-    neighbors need no bounds checks, and ``flat`` its row-major list. Per
-    part: ``areas``, ``quads`` (the bit-quad sum of ``_ring_entry``, 4 iff no
-    holes) and ``boxes`` ([y0, y1, x0, x1], exact at the start, then grown and
-    never shrunk, so covering the part). ``touch[a][b]`` counts 4-adjacent
-    pairs labeled a, b.
+    neighbors need no bounds checks, and ``flat`` a row-major memoryview of
+    the same buffer, for fast reads and writes of one voxel. Per part:
+    ``quads`` (the bit-quad sum of ``_ring_entry``, 4 iff no holes) and
+    ``boxes`` ([y0, y1, x0, x1], exact at the start, then grown and never
+    shrunk, so covering the part).
     """
 
     def __init__(self, lab: np.ndarray, k: int):
-        self.lab, self.flat, self.width = lab, lab.ravel().tolist(), lab.shape[1]
-        self.areas = np.bincount(lab.ravel(), minlength=k + 1).tolist()
+        self.lab, self.flat, self.width = lab, memoryview(lab.reshape(-1)), lab.shape[1]
         # A quad sum is what the voxels add joining their part in row-major order.
         inner, (h, w) = lab[1:-1, 1:-1], lab.shape
         before = [(i, dx, dy) for i, (dx, dy) in enumerate(_RING) if (dy, dx) < (0, 0)]
         pattern = sum((lab[1 + dy : h - 1 + dy, 1 + dx : w - 1 + dx] == inner) << i for i, dx, dy in before)
-        quads = np.bincount(inner.ravel(), _RING_QUADS[pattern].ravel(), k + 1)
-        pairs = ((lab[:, :-1], lab[:, 1:]), (lab[:-1], lab[1:]))
-        touch = sum(np.bincount((a * (k + 1) + b).ravel(), minlength=(k + 1) ** 2) for a, b in pairs)
-        touch = touch.reshape(k + 1, k + 1)
-        self.quads, self.touch = quads.astype(int).tolist(), (touch + touch.T).tolist()
+        self.quads = np.bincount(inner.ravel(), _RING_QUADS[pattern].ravel(), k + 1).astype(int).tolist()
         # Which labels each row and each column holds; a box spans the first and last of them.
         n = k + 1
         rows = np.bincount((lab + n * np.arange(h)[:, None]).ravel(), minlength=n * h).reshape(h, n).T > 0
@@ -381,8 +339,8 @@ def _strip_move(parts: _Parts, give: int, take: int, limit: int, arrival) -> int
         return 0
     ys, xs = parts.border(give, take)
     order = arrival[ys, xs].argsort(kind="stable")  # stable: ties stay row-major
-    flat, lab, width, areas, quads, touch = parts.flat, parts.lab, parts.width, parts.areas, parts.quads, parts.touch
-    table, box, tg, tt = _RING_TABLE, parts.boxes[take], touch[give], touch[take]
+    flat, lab, width, quads = parts.flat, parts.lab, parts.width, parts.quads
+    table, box = _RING_TABLE, parts.boxes[take]
     moved = 0
     for y, x in zip(ys[order].tolist(), xs[order].tolist()):
         i = y * width + x  # the ring, in _RING order; read once for the test and the move
@@ -400,22 +358,23 @@ def _strip_move(parts: _Parts, give: int, take: int, limit: int, arrival) -> int
             continue
         gain = table[(n == take) + 2 * (ne == take) + 4 * (e == take) + 8 * (se == take)
                      + 16 * (s == take) + 32 * (sw == take) + 64 * (w == take) + 128 * (nw == take)][1]
-        areas[give] -= 1
-        areas[take] += 1
         quads[give] -= lose
         quads[take] += gain
-        for v in (n, e, s, w):
-            tg[v] -= 1
-            tt[v] += 1
-            touch[v][give] -= 1
-            touch[v][take] += 1
-        flat[i] = lab[y, x] = take
+        flat[i] = take
         if not (box[0] <= y <= box[1] and box[2] <= x <= box[3]):
             box[:] = min(box[0], y), max(box[1], y), min(box[2], x), max(box[3], x)
         moved += 1
         if moved == limit:
             break
     return moved
+
+
+def _touch(lab: np.ndarray, k: int) -> list[list[int]]:
+    """``touch[a][b]``: the number of 4-adjacent voxel pairs labeled a and b in ``lab``, which holds 0..k."""
+    pairs = ((lab[:, :-1], lab[:, 1:]), (lab[:-1], lab[1:]))
+    touch = sum(np.bincount((a * (k + 1) + b).ravel(), minlength=(k + 1) ** 2) for a, b in pairs)
+    touch = touch.reshape(k + 1, k + 1)
+    return (touch + touch.T).tolist()
 
 
 def _spanning_tree(touch: list[list[int]], k: int, blocked: set) -> tuple[list[int], list[int]] | None:
@@ -469,8 +428,9 @@ def balance_areas(labels, k: int, arrival) -> np.ndarray:
 
     Every region ends 4-connected with exactly T voxels. Every step moves
     voxels by ``_strip_move``, which reads each candidate's ring once, for
-    its removal test and for its update of the one ``_Parts`` state: areas,
-    Euler numbers, adjacency counts, boxes.
+    its removal test and for its update of the one ``_Parts`` state: the
+    labels, Euler numbers and boxes. Areas and border lengths are counted
+    from the labels at the start of each round.
 
     Raises
     ------
@@ -497,18 +457,19 @@ def balance_areas(labels, k: int, arrival) -> np.ndarray:
     arr = np.pad(arr[box], 1)
     _check_pieces(parts.lab, k)
 
-    areas = parts.areas
-    target, leftover = divmod(sum(areas[1:]), k)
+    target, leftover = divmod(int(np.count_nonzero(lab)), k)
     goals = [0] + [target] * (k - 1) + [target + leftover]  # remainder parks on region k for the trim
 
-    # Each round fixes a tree and its flows, then meets them strip by strip.
-    # With the tree fixed, every voxel moved lowers the flow left to move by one,
-    # so a round ends: with every goal met, or on a strip that moves nothing,
-    # which blocks a pair the tree used. No pair is blocked twice, so there
-    # are at most k(k - 1)/2 rebuilds, and the loop ends with no cap on moves.
+    # Each round counts the areas and borders, fixes a tree and its flows, then
+    # meets them strip by strip. With the tree fixed, every voxel moved lowers
+    # the flow left to move by one, so a round ends: with every goal met, or on
+    # a strip that moves nothing, which blocks a pair the tree used. No pair is
+    # blocked twice, so there are at most k(k - 1)/2 rebuilds, and the loop
+    # ends with no cap on moves.
     blocked = set()
-    while areas[1:] != goals[1:]:  # areas[0] counts the background
-        tree = _spanning_tree(parts.touch, k, blocked)
+    # areas[0] counts the background
+    while (areas := np.bincount(parts.lab.ravel(), minlength=k + 1).tolist())[1:] != goals[1:]:
+        tree = _spanning_tree(_touch(parts.lab, k), k, blocked)
         if tree is None:
             report = ", ".join(f"{j}: {areas[j]}" for j in range(1, k + 1))
             raise BalanceError(f"balance failed; region areas: {report}")

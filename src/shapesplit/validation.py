@@ -137,6 +137,8 @@ def check_positive_int(value, name: str) -> int:
 
 def check_exponent(value) -> float:
     try:
+        if isinstance(value, (bool, np.bool_, str, bytes)):  # float() would take True and "6"
+            raise TypeError(value)
         out = float(value)
     except (TypeError, ValueError):
         raise ValidationError(f"exponent must be a real number, got {value!r}") from None

@@ -79,8 +79,11 @@ class TestFacadeParity:
         (rect_mask(), True, 6.0, True),
         (rect_mask(), 2.0, 6.0, True),
         (rect_mask(), 4, "abc", True),
+        (rect_mask(), 4, True, True),
+        (rect_mask(), 4, "6", True),
         (rect_mask(), 4, 6.0, "no"),
-    ], ids=["empty_mask", "3d_mask", "k_zero", "k_bool", "k_float", "exponent_text", "balance_text"])
+    ], ids=["empty_mask", "3d_mask", "k_zero", "k_bool", "k_float", "exponent_text", "exponent_bool",
+            "exponent_digits", "balance_text"])
     def test_same_error(self, mask, k, exponent, balance):
         with pytest.raises(Exception) as by_function:
             subdivide_equal(mask, k, exponent, balance)

@@ -65,8 +65,11 @@ class TestMessages:
         (lambda: check_path([]), "path must contain at least one voxel"),
         (lambda: check_path([(0, 0), (1, 0), (0, 0)]), "path repeats a voxel"),
         (lambda: check_exponent("abc"), "exponent must be a real number, got 'abc'"),
+        (lambda: check_exponent(True), "exponent must be a real number, got True"),
+        (lambda: check_exponent("6"), "exponent must be a real number, got '6'"),
+        (lambda: check_exponent(b"6"), "exponent must be a real number, got b'6'"),
     ], ids=["dims_zero", "dims_over_cap", "mask_3d", "labels_1d", "labels_float", "labels_negative",
-            "path_empty", "path_repeat", "exponent_text"])
+            "path_empty", "path_repeat", "exponent_text", "exponent_bool", "exponent_digits", "exponent_bytes"])
     def test_message(self, call, message):
         with pytest.raises(ValidationError) as exc:
             call()
