@@ -10,6 +10,7 @@ path.
 from __future__ import annotations
 
 import argparse
+import functools
 import os
 import sys
 
@@ -67,6 +68,12 @@ def build_parser() -> argparse.ArgumentParser:
     p.set_defaults(func=_cmd_stats)
 
     return parser
+
+
+@functools.cache
+def _parser() -> argparse.ArgumentParser:
+    """``build_parser()``, built once per process: parsing leaves a parser as it was."""
+    return build_parser()
 
 
 def _read_file(path: str) -> bytes:
@@ -141,7 +148,7 @@ def _cmd_stats(args) -> int:
 
 
 def main(argv=None) -> int:
-    parser = build_parser()
+    parser = _parser()
     try:
         args = parser.parse_args(argv)
         if getattr(args, "k", None) is not None and args.k < 1:

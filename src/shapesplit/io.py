@@ -16,7 +16,7 @@ import numpy as np
 
 from .exceptions import PGMParseError, ValidationError
 from .grid import _box
-from .validation import MAX_VOXELS, check_labelmap, check_mask, check_scalar_field
+from .validation import MAX_VOXELS, check_dims, check_labelmap, check_mask, check_scalar_field
 
 # A token is a run of bytes that are neither whitespace nor ``#``; a ``#``
 # opens a comment that runs to the end of the line. Each match skips the
@@ -182,9 +182,13 @@ def write_mask(mask) -> bytes:
 
 
 def write_labelmap(labels) -> bytes:
-    """Serialize a label map as a canonical P2 graymap, sample = label."""
+    """Serialize a label map as a canonical P2 graymap, sample = label.
+
+    The grid must hold a row and a column, as it must for ``read_labelmap``.
+    """
     lab = check_labelmap(labels)
-    top = int(lab.max()) if lab.size else 0
+    check_dims(lab.shape[::-1])
+    top = int(lab.max())
     if top > 65535:
         raise ValidationError(f"label overflow: {top} does not fit a graymap (max 65535)")
     return _write_pgm(lab, max(top, 1))

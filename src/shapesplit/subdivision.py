@@ -8,8 +8,11 @@ one flow of border strips along a maximum spanning tree of the regions,
 and trims the division remainder from the last region as one more strip,
 into the background, so that all areas come out exactly equal. It keeps
 the labels, Euler numbers and boxes of the parts up to date voxel by voxel,
-so no exchange rescans the grid; the areas and border lengths, which only
-building a tree reads, are counted from the labels once per tree.
+and each pair's border from strip to strip: the border is read once per
+pair, each move adds the voxels it puts on it, and a voxel that cannot
+leave is not tested again until a voxel of its ring moves. The areas and
+border lengths, which only building a tree reads, are counted from the
+labels once per tree.
 Connectivity is asked at the size of the question: each cut labels what is
 left to label on its bounding box, a band and its 4-pieces are read off the
 rows of its line, which hold one voxel or two side by side, a new part is
@@ -300,7 +303,11 @@ class _Parts:
         self.boxes = np.stack([y0, h - 1 - y1, x0, w - 1 - x1], axis=1).tolist()
 
     def border(self, give: int, take: int) -> tuple[np.ndarray, np.ndarray]:
-        """``(ys, xs)`` of part ``give``'s voxels 4-adjacent to part ``take``, row-major."""
+        """``(ys, xs)`` of part ``give``'s voxels 4-adjacent to part ``take``, row-major.
+
+        Read once per pair, for its first strip: ``_Border`` carries it to
+        the pair's later strips.
+        """
         (gy0, gy1, gx0, gx1), (ty0, ty1, tx0, tx1) = self.boxes[give], self.boxes[take]
         y0, y1, x0, x1 = max(gy0, ty0 - 1), min(gy1, ty1 + 1), max(gx0, tx0 - 1), min(gx1, tx1 + 1)
         win = self.lab[y0 - 1 : y1 + 2, x0 - 1 : x1 + 2]
@@ -313,18 +320,41 @@ class _Parts:
         return ys + y0, xs + x0
 
 
-def _strip_move(parts: _Parts, give: int, take: int, limit: int, arrival) -> int:
-    """Move up to ``limit`` border voxels from ``give`` to ``take``; ``take`` 0 is the background.
+class _Border:
+    """The border of part ``give`` on part ``take``, carried by ``_strip_move`` from strip to strip.
 
-    Works off one snapshot of the border, put in ascending ``arrival`` order
-    by one stable sort (row-major on ties): with the second wave's arrival
-    the deepest voxels go first, so repeated transfers across the same border
-    dent its middle instead of marching along the region's boundary rim,
-    which keeps the moves shape preserving; the trim passes the negated
-    arrival to take the outermost first. Every move keeps the donor
-    4-connected and nonempty; every moved voxel borders the receiver, so it
-    joins background the donor already touches and opens no hole. Returns
-    the number of voxels moved.
+    ``cand`` lists the next strip's candidates as ``(arrival, i)`` pairs in
+    ascending order, ``i`` being the row-major index into ``_Parts.flat``, so
+    ties stay row-major. ``seen`` holds every voxel ever listed, and
+    ``dormant`` the listed voxels whose removal test failed and whose ring
+    no voxel has left since. Only the first strip reads ``_Parts.border``;
+    ``arrival`` gives the order of the voxels that join the border later.
+    The border stays exact while its own strips make every move, as they
+    do while one pair's flow runs.
+    """
+
+    __slots__ = ("give", "take", "cand", "seen", "dormant", "arrival")
+
+    def __init__(self, parts: _Parts, give: int, take: int, arrival: np.ndarray):
+        ys, xs = parts.border(give, take)
+        at = arrival[ys, xs]
+        order = at.argsort(kind="stable")  # stable: ties stay row-major
+        index = (ys * parts.width + xs)[order].tolist()
+        self.give, self.take, self.cand = give, take, list(zip(at[order].tolist(), index))
+        self.seen, self.dormant, self.arrival = set(index), set(), memoryview(arrival.reshape(-1))
+
+
+def _strip_move(parts: _Parts, border: _Border, limit: int) -> int:
+    """Move up to ``limit`` voxels of ``border`` from part ``give`` to ``take``, 0 being the background.
+
+    The candidates go in ascending ``arrival`` order, row-major on ties:
+    with the second wave's arrival the deepest voxels go first, so repeated
+    transfers across the same border dent its middle instead of marching
+    along the region's boundary rim, which keeps the moves shape preserving;
+    the trim passes the negated arrival to take the outermost first. Every
+    move keeps the donor 4-connected and nonempty; every moved voxel borders
+    the receiver, so it joins background the donor already touches and
+    opens no hole. Returns the number of voxels moved.
 
     Each candidate is tested against the donor as it stands at its turn. Its
     eight ring labels are read once; the donor's ``_RING_TABLE`` entry gives
@@ -334,17 +364,31 @@ def _strip_move(parts: _Parts, give: int, take: int, limit: int, arrival) -> int
     of a donor without holes never meet, as a path between two would close a
     loop around the background corner between them; around a hole, one
     labeling of the donor's box tells.
+
+    The border is left as the next strip's: the candidates that stayed and
+    the donor voxels the moves put on the border, which wait for that strip,
+    in the same order. That is the border a fresh read would give, as the
+    donor only loses voxels and the receiver only gains them. A voxel whose
+    test fails sleeps, skipped without reading its ring, until a voxel of its
+    ring moves, which may be in the middle of a strip. It would fail again:
+    it failed because the donor without it is in pieces (or it is the whole
+    donor), and the donor since lost only voxels it stays one piece without,
+    so those pieces stay apart unless one of them was a single voxel, which
+    lies in its ring.
     """
     if limit <= 0:
         return 0
-    ys, xs = parts.border(give, take)
-    order = arrival[ys, xs].argsort(kind="stable")  # stable: ties stay row-major
+    give, take, cand, seen, dormant, arrival = (border.give, border.take, border.cand,
+                                                border.seen, border.dormant, border.arrival)
     flat, lab, width, quads = parts.flat, parts.lab, parts.width, parts.quads
     table, box = _RING_TABLE, parts.boxes[take]
-    moved = 0
-    for y, x in zip(ys[order].tolist(), xs[order].tolist()):
-        i = y * width + x  # the ring, in _RING order; read once for the test and the move
-        a, b = i - width, i + width
+    kept, new, moved = [], [], 0
+    for c in cand:
+        i = c[1]
+        if i in dormant:
+            kept.append(c)
+            continue
+        a, b = i - width, i + width  # the ring, in _RING order; read once for the test and the move
         n, ne, e, se = flat[a], flat[a + 1], flat[i + 1], flat[b + 1]
         s, sw, w, nw = flat[b], flat[b - 1], flat[i - 1], flat[a - 1]
         groups, lose = table[(n == give) + 2 * (ne == give) + 4 * (e == give) + 8 * (se == give)
@@ -352,20 +396,42 @@ def _strip_move(parts: _Parts, give: int, take: int, limit: int, arrival) -> int
         if groups > 1 and quads[give] != 4:  # around a hole, the groups may meet
             y0, y1, x0, x1 = parts.boxes[give]
             rest = lab[y0 : y1 + 1, x0 : x1 + 1] == give
-            rest[y - y0, x - x0] = False
+            rest[i // width - y0, i % width - x0] = False
             groups = 1 if _label_runs(rest, 4)[1] == 1 else groups
         if groups != 1:
+            dormant.add(i)
+            kept.append(c)
             continue
         gain = table[(n == take) + 2 * (ne == take) + 4 * (e == take) + 8 * (se == take)
                      + 16 * (s == take) + 32 * (sw == take) + 64 * (w == take) + 128 * (nw == take)][1]
         quads[give] -= lose
         quads[take] += gain
         flat[i] = take
+        y, x = divmod(i, width)
         if not (box[0] <= y <= box[1] and box[2] <= x <= box[3]):
             box[:] = min(box[0], y), max(box[1], y), min(box[2], x), max(box[3], x)
+        if dormant:
+            dormant.difference_update((a - 1, a, a + 1, i - 1, i + 1, b - 1, b, b + 1))
+        if n == give and a not in seen:  # the donor voxels the move puts on the border
+            seen.add(a)
+            new.append((arrival[a], a))
+        if e == give and i + 1 not in seen:
+            seen.add(i + 1)
+            new.append((arrival[i + 1], i + 1))
+        if s == give and b not in seen:
+            seen.add(b)
+            new.append((arrival[b], b))
+        if w == give and i - 1 not in seen:
+            seen.add(i - 1)
+            new.append((arrival[i - 1], i - 1))
         moved += 1
         if moved == limit:
             break
+    kept += cand[len(kept) + moved :]  # those a stop at the limit left unreached
+    if new:
+        kept += new
+        kept.sort()
+    border.cand = kept
     return moved
 
 
@@ -429,8 +495,12 @@ def balance_areas(labels, k: int, arrival) -> np.ndarray:
     Every region ends 4-connected with exactly T voxels. Every step moves
     voxels by ``_strip_move``, which reads each candidate's ring once, for
     its removal test and for its update of the one ``_Parts`` state: the
-    labels, Euler numbers and boxes. Areas and border lengths are counted
-    from the labels at the start of each round.
+    labels, Euler numbers and boxes. A pair's border is read when its flow
+    starts and carried by a ``_Border`` through its strips, which adds the
+    voxels each move puts on it and skips a voxel that could not leave
+    until a voxel of its ring moves; the moves are those of a fresh border
+    per strip with every candidate tested. Areas and border lengths are
+    counted from the labels at the start of each round.
 
     Raises
     ------
@@ -480,7 +550,8 @@ def balance_areas(labels, k: int, arrival) -> np.ndarray:
         moves = [(j, parent[j], flow[j]) for j in reversed(order[1:]) if flow[j] > 0]
         moves += [(parent[j], j, -flow[j]) for j in order[1:] if flow[j] < 0]
         for give, take, need in moves:
-            while need and (moved := _strip_move(parts, give, take, need, arr)):
+            border = _Border(parts, give, take, arr)
+            while need and (moved := _strip_move(parts, border, need)):
                 need -= moved
             if need:
                 blocked |= {(give, take), (take, give)}
@@ -488,7 +559,7 @@ def balance_areas(labels, k: int, arrival) -> np.ndarray:
 
     # Trim: a strip from region k into the background, outermost first; the
     # padding puts the grid's outside in the background.
-    if _strip_move(parts, k, 0, leftover, -arr) < leftover:
+    if leftover and _strip_move(parts, _Border(parts, k, 0, -arr), leftover) < leftover:
         raise BalanceError(f"balance failed: cannot trim region {k} without disconnecting it")
 
     lab[box] = parts.lab[1:-1, 1:-1]

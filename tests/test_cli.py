@@ -208,6 +208,37 @@ class TestParsing:
     def test_missing_required_flag(self, capsys):
         assert main(["subdivide", "--k", "4"]) == 1
 
+    def test_one_process_writes_what_separate_processes_write(self, rect_pgm, tmp_path, capsys):
+        # main builds its parser once per process: two calls with different
+        # --k, a usage error between them, leave the files, exit codes and
+        # messages of three separate runs
+        def calls(top):
+            top.mkdir()
+            return [
+                ["subdivide", "--input", str(rect_pgm), "--k", "2", "--output", str(top / "2.pgm"),
+                 "--dump", str(top / "dump")],
+                ["subdivide", "--input", str(rect_pgm), "--k", "x", "--output", str(top / "x.pgm")],
+                ["subdivide", "--input", str(rect_pgm), "--k", "3", "--output", str(top / "3.pgm")],
+            ]
+
+        def files(top):
+            return {p.relative_to(top).as_posix(): p.read_bytes() for p in top.rglob("*") if p.is_file()}
+
+        one = []
+        for argv in calls(tmp_path / "one"):
+            one.append((main(argv), capsys.readouterr().err))
+        env = dict(os.environ)
+        package_root = os.path.dirname(os.path.dirname(shapesplit.__file__))
+        env["PYTHONPATH"] = os.pathsep.join(filter(None, [package_root, env.get("PYTHONPATH")]))
+        apart = []
+        for argv in calls(tmp_path / "apart"):
+            proc = subprocess.run([sys.executable, "-m", "shapesplit", *argv], capture_output=True, env=env)
+            apart.append((proc.returncode, proc.stderr.decode()))
+        assert [code for code, _ in one] == [0, 1, 0]
+        assert one == apart
+        assert files(tmp_path / "one") == files(tmp_path / "apart")
+        assert len(files(tmp_path / "one")) == 8
+
     def test_module_entry_point(self, tmp_path):
         src = put_mask(tmp_path, "strip.pgm", np.ones((1, 9), dtype=bool))
         out = tmp_path / "o.csv"

@@ -1,3 +1,5 @@
+from collections import deque
+
 import numpy as np
 import pytest
 
@@ -14,9 +16,9 @@ from shapesplit import (
     subdivide_equal,
 )
 from shapesplit.eikonal import ArrivalField
-from shapesplit.grid import _box
+from shapesplit.grid import _box, _label_runs
 from shapesplit import subdivision
-from shapesplit.subdivision import _RING, _RING_TABLE, _band, _joins, _Parts, _strip_move, _tangent, _touch
+from shapesplit.subdivision import _RING, _RING_TABLE, _band, _Border, _joins, _Parts, _strip_move, _tangent, _touch
 
 from conftest import make_blob
 from oracles import adjacent_label_pairs, bit_quad_sum, euler_number, flood_fill_components
@@ -598,10 +600,10 @@ class TestBalanceAreas:
         stuck, trees = [], []
         strip_move, spanning_tree = subdivision._strip_move, subdivision._spanning_tree
 
-        def counted_strip(parts, give, take, limit, arrival):
-            moved = strip_move(parts, give, take, limit, arrival)
-            if take and not moved:  # toward a part, not the trim
-                stuck.append((give, take))
+        def counted_strip(parts, border, limit):
+            moved = strip_move(parts, border, limit)
+            if border.take and not moved:  # toward a part, not the trim
+                stuck.append((border.give, border.take))
             return moved
 
         def counted_tree(*args):
@@ -688,7 +690,7 @@ def strip_over(parts, cand, give, take, limit):
     """``_strip_move`` with ``cand``, a list of (y, x), as the border, in that order."""
     ys, xs = np.array(cand, dtype=np.intp).reshape(-1, 2).T
     parts.border = lambda g, t: (ys, xs)  # equal arrivals: the stable sort keeps the order
-    return _strip_move(parts, give, take, limit, np.zeros(parts.lab.shape))
+    return _strip_move(parts, _Border(parts, give, take, np.zeros(parts.lab.shape)), limit)
 
 
 class TestStripMoveRemoval:
@@ -843,7 +845,7 @@ class TestStripMove:
         moved = []
         for limit in range(1, 41):
             parts = _Parts(lab.copy(), 2)
-            assert _strip_move(parts, 1, 2, limit, arrival) == limit
+            assert _strip_move(parts, _Border(parts, 1, 2, arrival), limit) == limit
             new = [(int(y), int(x)) for y, x in np.argwhere((parts.lab == 2) & (lab == 1)) if (y, x) not in moved]
             assert len(new) == 1
             moved += new
@@ -872,7 +874,7 @@ class TestStripMove:
         monkeypatch.setattr(subdivision, "_label_runs", lambda *a: labelings.append(a) or label_runs(*a))
         parts = _Parts(lab.copy(), 2)
         assert parts.quads[1] != 4
-        moved = _strip_move(parts, 1, 2, 8, arrival)
+        moved = _strip_move(parts, _Border(parts, 1, 2, arrival), 8)
         assert len(labelings) == 2
         cand = sorted(((2, x) for x in range(1, 9)), key=lambda yx: (arrival[yx], yx))
         want, left = flood_fill_replay(lab == 1, cand, 8)
@@ -880,6 +882,222 @@ class TestStripMove:
         assert moved == len(want) == 4
         assert np.array_equal(parts.lab == 1, left)
         assert_state_exact(parts, 2)
+
+
+def strips_of(parts, border, limit, count):
+    """The voxels each of ``count`` strips moves, as sets of (y, x)."""
+    out = []
+    for _ in range(count):
+        before = parts.lab.copy()
+        _strip_move(parts, border, limit)
+        out.append({(int(y), int(x)) for y, x in np.argwhere(parts.lab != before)})
+    return out
+
+
+def flat_yx(parts, indices):
+    """Row-major ``_Parts.flat`` indices as a sorted list of (y, x)."""
+    return sorted(divmod(i, parts.width) for i in indices)
+
+
+def fresh_strip(parts, border, limit):
+    """The reference strip: a fresh border read by a scan of the whole map, every candidate tested.
+
+    Candidates go in ascending (arrival, y, x) order; one stays with the
+    donor iff a labeling finds the donor without it empty or in pieces.
+    It changes only the labels, from which the rounds of ``balance_areas``
+    count the areas and borders; of ``border`` it reads only the pair and
+    the arrival, so the candidates it was built with, from boxes this
+    strip leaves stale, go unused.
+    """
+    lab, give, take = parts.lab, border.give, border.take
+    arrival = np.asarray(border.arrival).reshape(lab.shape)
+    near = np.zeros(lab.shape, dtype=bool)
+    near[1:-1, 1:-1] = (lab[:-2, 1:-1] == take) | (lab[2:, 1:-1] == take)
+    near[1:-1, 1:-1] |= (lab[1:-1, :-2] == take) | (lab[1:-1, 2:] == take)
+    cand = sorted(((arrival[y, x], y, x) for y, x in np.argwhere(near & (lab == give)).tolist()))
+    moved = 0
+    for _, y, x in cand:
+        rest = lab == give
+        rest[y, x] = False
+        if _label_runs(rest, 4)[1] == 1:
+            lab[y, x] = take
+            moved += 1
+            if moved == limit:
+                break
+    return moved
+
+
+def voronoi_parts(region, k, rng):
+    """Labels 1..k on a 4-connected ``region``, grown by a breadth-first wave from k random voxels.
+
+    Each voxel takes the label of the voxel that reached it, so each part is one 4-piece.
+    """
+    h, w = region.shape
+    lab = np.zeros(region.shape, dtype=np.int32)
+    seeds = rng.permutation(np.argwhere(region))[:k].tolist()
+    queue = deque()
+    for j, (y, x) in enumerate(seeds, start=1):
+        lab[y, x] = j
+        queue.append((y, x))
+    while queue:
+        y, x = queue.popleft()
+        for ny, nx in ((y - 1, x), (y, x + 1), (y + 1, x), (y, x - 1)):
+            if 0 <= ny < h and 0 <= nx < w and region[ny, nx] and not lab[ny, nx]:
+                lab[ny, nx] = lab[y, x]
+                queue.append((ny, nx))
+    return lab
+
+
+class TestCarriedBorder:
+    # Part 1 is a body, columns 1 and 2, joined to u (3, 3) and m (4, 3)
+    # only through v (2, 3); part 2 runs from above v round to the right
+    # of m. The border is v and m: v cannot leave, as u and m would be cut
+    # off, and m can.
+    CHAIN = np.array([[0, 0, 0, 0, 0, 0, 0],
+                      [0, 0, 0, 2, 2, 2, 0],
+                      [0, 1, 1, 1, 0, 2, 0],
+                      [0, 1, 0, 1, 0, 2, 0],
+                      [0, 1, 0, 1, 2, 2, 0],
+                      [0, 0, 0, 0, 0, 0, 0]], dtype=np.int32)
+
+    @pytest.mark.parametrize("u_first", [True, False])
+    def test_a_reject_sleeps_until_its_ring_changes(self, u_first):
+        # Strip 1 tests v, which stays and sleeps, then moves m, which is
+        # not in v's ring, so v sleeps on; u joins the border and waits.
+        # Strip 2 moves u, whose leaving wakes v in the middle of the strip:
+        # if v comes after u, it is tested at its turn and leaves too; if v
+        # comes first, it is skipped at its turn and tested in strip 3.
+        arrival = np.zeros(self.CHAIN.shape)
+        arrival[2, 3], arrival[4, 3], arrival[3, 3] = 1.0, 2.0, 0.0 if u_first else 3.0
+        parts = _Parts(self.CHAIN.copy(), 2)
+        border = _Border(parts, 1, 2, arrival)
+        assert strips_of(parts, border, 10, 1) == [{(4, 3)}]
+        assert flat_yx(parts, border.dormant) == [(2, 3)]
+        assert flat_yx(parts, (i for _, i in border.cand)) == [(2, 3), (3, 3)]
+        if u_first:
+            assert strips_of(parts, border, 10, 1) == [{(3, 3), (2, 3)}]
+        else:
+            assert strips_of(parts, border, 10, 2) == [{(3, 3)}, {(2, 3)}]
+        assert not border.dormant
+        assert_state_exact(parts, 2)
+
+    def test_a_sleeping_voxel_is_not_read(self, monkeypatch):
+        # The strip after v's test reads the ring of u alone: v is skipped
+        # without a ring read, so the ring table is looked up for u's test
+        # and its move only.
+        arrival = np.zeros(self.CHAIN.shape)
+        arrival[2, 3], arrival[4, 3], arrival[3, 3] = 1.0, 2.0, 3.0
+        parts = _Parts(self.CHAIN.copy(), 2)
+        border = _Border(parts, 1, 2, arrival)
+        _strip_move(parts, border, 10)
+        lookups = []
+
+        class Counted(list):
+            def __getitem__(self, pattern):
+                lookups.append(pattern)
+                return list.__getitem__(self, pattern)
+
+        monkeypatch.setattr(subdivision, "_RING_TABLE", Counted(_RING_TABLE))
+        assert _strip_move(parts, border, 10) == 1
+        assert len(lookups) == 2
+
+    @staticmethod
+    def two_rows():
+        """Part 1 as two rows under part 2, the top row's arrivals 0, the bottom row's 5 to 1, and its border."""
+        lab = np.zeros((5, 8), dtype=np.int32)
+        lab[1, 1:7] = 2
+        lab[2:4, 1:7] = 1
+        arrival = np.zeros(lab.shape)
+        arrival[3, 1:7] = [5.0, 4.0, 4.0, 3.0, 2.0, 1.0]
+        parts = _Parts(lab, 2)
+        return parts, _Border(parts, 1, 2, arrival)
+
+    def test_new_border_voxels_wait_for_the_next_strip(self):
+        # Moving a top-row voxel puts the one under it on the border, but a
+        # strip only takes the voxels on the border when it starts: the
+        # first strip moves the top row and stops short of its limit. The
+        # next strip's candidates are the bottom row in ascending arrival
+        # order, row-major on ties; it moves all but (3, 2), which joins
+        # (3, 1) to the rest at its turn.
+        parts, border = self.two_rows()
+        assert _strip_move(parts, border, 11) == 6
+        assert [divmod(i, 8) for _, i in border.cand] == [(3, 6), (3, 5), (3, 4), (3, 2), (3, 3), (3, 1)]
+        assert [a for a, _ in border.cand] == [1.0, 2.0, 3.0, 4.0, 4.0, 5.0]
+        assert strips_of(parts, border, 11, 1) == [{(3, 6), (3, 5), (3, 4), (3, 3), (3, 1)}]
+        assert_state_exact(parts, 2)
+
+    def test_a_strip_stopped_by_its_limit_leaves_the_rest_first(self):
+        # The strip moves the top row's first four, row-major, and stops:
+        # the two it did not reach stay ahead of the four under the moved.
+        parts, border = self.two_rows()
+        assert _strip_move(parts, border, 4) == 4
+        assert [divmod(i, 8) for _, i in border.cand] == [(2, 5), (2, 6), (3, 4), (3, 2), (3, 3), (3, 1)]
+        assert_state_exact(parts, 2)
+
+    def test_a_hole_branch_reject_is_labeled_again_only_when_its_ring_changes(self, monkeypatch):
+        # Part 1 is a block round a hole, so every border voxel with two
+        # ring groups takes a labeling, with a tail through v (2, 6) that
+        # forks at t (2, 7) into (2, 8) and down column 7. Strip 1 labels
+        # v, t and (2, 5), and all three stay; then (2, 8) leaves, which is
+        # in t's ring, and the top row of the block. Strip 2 labels t alone,
+        # as v and (2, 5) sleep; it moves the block's row 3, of which (3, 4)
+        # is in the ring of (2, 5). Strip 3 labels (2, 5) again. v's ring
+        # never changes, so it is labeled once; a fresh border per strip
+        # labels all three in strip 2.
+        lab = np.zeros((10, 11), dtype=np.int32)
+        lab[1, 1:10] = 2
+        lab[2:9, 1:6] = 1
+        lab[5:7, 2:4] = 0
+        lab[2, 6:9] = 1
+        lab[3:5, 7] = 1
+        arrival = np.full(lab.shape, 10.0) + np.arange(11) + 20 * np.arange(10)[:, None]
+        arrival[2, 6], arrival[2, 7], arrival[2, 8] = 0.0, 1.0, 2.0
+        parts = _Parts(lab.copy(), 2)
+        assert parts.quads[1] != 4
+        labeled = []
+        label_runs = subdivision._label_runs
+
+        def recorded(rest, conn):  # the voxel tested is the one the donor's box lacks
+            y0, y1, x0, x1 = parts.boxes[1]
+            ((y, x),) = np.argwhere((parts.lab[y0 : y1 + 1, x0 : x1 + 1] == 1) & ~rest) + (y0, x0)
+            labeled[-1].append((int(y), int(x)))
+            return label_runs(rest, conn)
+
+        monkeypatch.setattr(subdivision, "_label_runs", recorded)
+        border = _Border(parts, 1, 2, arrival)
+        moves = []
+        for _ in range(3):
+            labeled.append([])
+            moves += strips_of(parts, border, 100, 1)
+        assert labeled[:2] == [[(2, 6), (2, 7), (2, 5)], [(2, 7)]]
+        assert labeled[2][0] == (2, 5) and (2, 6) not in labeled[2]
+        assert moves[:2] == [{(2, 1), (2, 2), (2, 3), (2, 4), (2, 8)}, {(3, 1), (3, 2), (3, 3), (3, 4)}]
+        assert_state_exact(parts, 2)
+
+    def test_balancing_matches_a_fresh_border_per_strip(self, monkeypatch):
+        # Random blobs, holes included, split into random 4-pieces with
+        # few arrival values, so that most voxels tie: the carried border
+        # must give the labels, or the error, of the reference strips.
+        rng = np.random.default_rng(7)
+        strip_move, holes = subdivision._strip_move, 0
+        for _ in range(240):
+            h, w = (int(v) for v in rng.integers(6, 19, size=2))
+            mask = rng.random((h, w)) < rng.uniform(0.55, 0.9)
+            comps, _ = flood_fill_components(mask, 4)
+            region = comps == int(np.argmax(np.bincount(comps.ravel())[1:])) + 1
+            holes += euler_number(region) < 1
+            k = int(rng.integers(2, min(6, int(region.sum())) + 1))
+            labels = voronoi_parts(region, k, rng)
+            arrival = rng.integers(0, 4, size=region.shape).astype(float)
+            outcomes = []
+            for strip in (strip_move, fresh_strip):
+                monkeypatch.setattr(subdivision, "_strip_move", strip)
+                try:
+                    outcomes.append(balance_areas(labels, k, arrival).tobytes())
+                except BalanceError as err:
+                    outcomes.append(str(err))
+            assert outcomes[0] == outcomes[1]
+        assert holes >= 20
 
 
 class TestSubdivideEqual:
