@@ -10,14 +10,14 @@ into the background, so that all areas come out exactly equal. It keeps
 the labels, Euler numbers and boxes of the parts up to date voxel by voxel,
 and each pair's border from strip to strip: the border is read once per
 pair, each move adds the voxels it puts on it, and a voxel that cannot
-leave is not tested again until a voxel of its ring moves. The areas and
-border lengths, which only building a tree reads, are counted from the
+leave is not tested again until one of its 4-neighbors moves. The areas
+and border lengths, which only building a tree reads, are counted from the
 labels once per tree.
 Connectivity is asked at the size of the question: each cut labels what is
 left to label on its bounding box, a band and its 4-pieces are read off the
 rows of its line, which hold one voxel or two side by side, a new part is
 one piece when every 4-piece of its band touches the piece behind the cut,
-and one labeling of the label map checks all parts at once.
+and one labeling of the label map checks all parts as balancing starts.
 
 Regions use 4-connectivity, paths and cut bands 8-connectivity; an
 8-connected band 4-separates the plane, which is what makes one-voxel cuts
@@ -325,23 +325,21 @@ class _Border:
 
     ``cand`` lists the next strip's candidates as ``(arrival, i)`` pairs in
     ascending order, ``i`` being the row-major index into ``_Parts.flat``, so
-    ties stay row-major. ``seen`` holds every voxel ever listed, and
-    ``dormant`` the listed voxels whose removal test failed and whose ring
-    no voxel has left since. Only the first strip reads ``_Parts.border``;
-    ``arrival`` gives the order of the voxels that join the border later.
-    The border stays exact while its own strips make every move, as they
-    do while one pair's flow runs.
+    ties stay row-major, and ``dormant`` the listed voxels whose removal
+    test failed and none of whose 4-neighbors has left since. Only the first
+    strip reads ``_Parts.border``; ``arrival`` gives the order of the voxels
+    that join the border later. The border stays exact while its own strips
+    make every move, as they do while one pair's flow runs.
     """
 
-    __slots__ = ("give", "take", "cand", "seen", "dormant", "arrival")
+    __slots__ = ("give", "take", "cand", "dormant", "arrival")
 
     def __init__(self, parts: _Parts, give: int, take: int, arrival: np.ndarray):
         ys, xs = parts.border(give, take)
         at = arrival[ys, xs]
         order = at.argsort(kind="stable")  # stable: ties stay row-major
-        index = (ys * parts.width + xs)[order].tolist()
-        self.give, self.take, self.cand = give, take, list(zip(at[order].tolist(), index))
-        self.seen, self.dormant, self.arrival = set(index), set(), memoryview(arrival.reshape(-1))
+        self.give, self.take, self.dormant, self.arrival = give, take, set(), memoryview(arrival.reshape(-1))
+        self.cand = list(zip(at[order].tolist(), (ys * parts.width + xs)[order].tolist()))
 
 
 def _strip_move(parts: _Parts, border: _Border, limit: int) -> int:
@@ -368,18 +366,18 @@ def _strip_move(parts: _Parts, border: _Border, limit: int) -> int:
     The border is left as the next strip's: the candidates that stayed and
     the donor voxels the moves put on the border, which wait for that strip,
     in the same order. That is the border a fresh read would give, as the
-    donor only loses voxels and the receiver only gains them. A voxel whose
-    test fails sleeps, skipped without reading its ring, until a voxel of its
-    ring moves, which may be in the middle of a strip. It would fail again:
-    it failed because the donor without it is in pieces (or it is the whole
-    donor), and the donor since lost only voxels it stays one piece without,
-    so those pieces stay apart unless one of them was a single voxel, which
-    lies in its ring.
+    donor only loses voxels and the receiver only gains them: a move adds
+    the donor 4-neighbors with no other receiver 4-neighbor. A voxel whose
+    test fails sleeps, skipped without reading its ring, until one of its
+    4-neighbors moves, which may be in the middle of a strip. It would fail
+    again: the donor without it was in pieces (or it was the whole donor),
+    and the donor since lost only voxels it stays one piece without, so the
+    pieces stay apart until one is gone; a piece goes with its last voxel,
+    which reached the donor through the reject alone, as its 4-neighbor.
     """
     if limit <= 0:
         return 0
-    give, take, cand, seen, dormant, arrival = (border.give, border.take, border.cand,
-                                                border.seen, border.dormant, border.arrival)
+    give, take, cand, dormant, arrival = border.give, border.take, border.cand, border.dormant, border.arrival
     flat, lab, width, quads = parts.flat, parts.lab, parts.width, parts.quads
     table, box = _RING_TABLE, parts.boxes[take]
     kept, new, moved = [], [], 0
@@ -411,18 +409,14 @@ def _strip_move(parts: _Parts, border: _Border, limit: int) -> int:
         if not (box[0] <= y <= box[1] and box[2] <= x <= box[3]):
             box[:] = min(box[0], y), max(box[1], y), min(box[2], x), max(box[3], x)
         if dormant:
-            dormant.difference_update((a - 1, a, a + 1, i - 1, i + 1, b - 1, b, b + 1))
-        if n == give and a not in seen:  # the donor voxels the move puts on the border
-            seen.add(a)
+            dormant.difference_update((a, i - 1, i + 1, b))
+        if n == give and nw != take and ne != take and flat[a - width] != take:  # new on the border
             new.append((arrival[a], a))
-        if e == give and i + 1 not in seen:
-            seen.add(i + 1)
+        if e == give and ne != take and se != take and flat[i + 2] != take:
             new.append((arrival[i + 1], i + 1))
-        if s == give and b not in seen:
-            seen.add(b)
+        if s == give and se != take and sw != take and flat[b + width] != take:
             new.append((arrival[b], b))
-        if w == give and i - 1 not in seen:
-            seen.add(i - 1)
+        if w == give and sw != take and nw != take and flat[i - 2] != take:
             new.append((arrival[i - 1], i - 1))
         moved += 1
         if moved == limit:
@@ -492,15 +486,17 @@ def balance_areas(labels, k: int, arrival) -> np.ndarray:
        as one strip off their shared border, largest arrival first, never
        breaking the region or opening a hole.
 
-    Every region ends 4-connected with exactly T voxels. Every step moves
-    voxels by ``_strip_move``, which reads each candidate's ring once, for
-    its removal test and for its update of the one ``_Parts`` state: the
+    Every region ends 4-connected with exactly T voxels: each is checked
+    to be one piece on entry, and every move keeps its donor one piece and
+    joins its receiver at a voxel 4-adjacent to it. Every step moves voxels
+    by ``_strip_move``, which reads each candidate's ring once, for its
+    removal test and for its update of the one ``_Parts`` state: the
     labels, Euler numbers and boxes. A pair's border is read when its flow
     starts and carried by a ``_Border`` through its strips, which adds the
     voxels each move puts on it and skips a voxel that could not leave
-    until a voxel of its ring moves; the moves are those of a fresh border
-    per strip with every candidate tested. Areas and border lengths are
-    counted from the labels at the start of each round.
+    until one of its 4-neighbors moves; the moves are those of a fresh
+    border per strip with every candidate tested. Areas and border lengths
+    are counted from the labels at the start of each round.
 
     Raises
     ------
@@ -508,7 +504,7 @@ def balance_areas(labels, k: int, arrival) -> np.ndarray:
         If the labels are not exactly 1..k, or the arrival is not finite
         on them or not of their shape.
     BalanceError
-        If a region is not 4-connected, the pairs left unblocked no longer
+        If a region is split on entry, the pairs left unblocked no longer
         connect the regions, or the trim's border gives too few voxels.
     """
     k = check_positive_int(k, "k")
@@ -563,5 +559,4 @@ def balance_areas(labels, k: int, arrival) -> np.ndarray:
         raise BalanceError(f"balance failed: cannot trim region {k} without disconnecting it")
 
     lab[box] = parts.lab[1:-1, 1:-1]
-    _check_pieces(parts.lab, k)
     return lab

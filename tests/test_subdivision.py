@@ -556,22 +556,6 @@ class TestBalanceAreas:
             balance_areas(labels, 3, synthetic_arrival(labels.shape))
         assert str(err.value) == "balance failed: region 2 is not 4-connected"
 
-    def test_exit_failure_names_the_lowest_split_region(self, monkeypatch):
-        # Balancing never splits a part, so the exit check is reached only
-        # with a removal test that lets every voxel go: a ring table of one
-        # group everywhere. Region 2 gives its three voxels above region 1,
-        # region 3 the one under column 4; both end split, with the areas
-        # equal at 7.
-        monkeypatch.setattr(subdivision, "_RING_TABLE", ONE_GROUP_TABLE)
-        labels = np.zeros((3, 10), dtype=np.int32)
-        labels[0] = 2
-        labels[1, 3:6] = 1
-        labels[2, 1:9] = 3
-        arrival = np.abs(np.arange(10) - 4.0)[None, :] + np.ones((3, 1))
-        with pytest.raises(BalanceError) as err:
-            balance_areas(labels, 3, arrival)
-        assert str(err.value) == "balance failed: region 2 is not 4-connected"
-
     def test_surplus_routes_across_intermediate_regions(self):
         # all surplus sits on region 1, the deficits at the chain's far end
         labels = np.zeros((4, 60), dtype=np.int32)
@@ -927,6 +911,19 @@ def fresh_strip(parts, border, limit):
     return moved
 
 
+def counted_ring_table(monkeypatch):
+    """Have ``_strip_move`` look up a ring table that records each pattern; returns the record."""
+    lookups = []
+
+    class Counted(list):
+        def __getitem__(self, pattern):
+            lookups.append(pattern)
+            return list.__getitem__(self, pattern)
+
+    monkeypatch.setattr(subdivision, "_RING_TABLE", Counted(_RING_TABLE))
+    return lookups
+
+
 def voronoi_parts(region, k, rng):
     """Labels 1..k on a 4-connected ``region``, grown by a breadth-first wave from k random voxels.
 
@@ -990,14 +987,7 @@ class TestCarriedBorder:
         parts = _Parts(self.CHAIN.copy(), 2)
         border = _Border(parts, 1, 2, arrival)
         _strip_move(parts, border, 10)
-        lookups = []
-
-        class Counted(list):
-            def __getitem__(self, pattern):
-                lookups.append(pattern)
-                return list.__getitem__(self, pattern)
-
-        monkeypatch.setattr(subdivision, "_RING_TABLE", Counted(_RING_TABLE))
+        lookups = counted_ring_table(monkeypatch)
         assert _strip_move(parts, border, 10) == 1
         assert len(lookups) == 2
 
@@ -1038,12 +1028,14 @@ class TestCarriedBorder:
         # Part 1 is a block round a hole, so every border voxel with two
         # ring groups takes a labeling, with a tail through v (2, 6) that
         # forks at t (2, 7) into (2, 8) and down column 7. Strip 1 labels
-        # v, t and (2, 5), and all three stay; then (2, 8) leaves, which is
-        # in t's ring, and the top row of the block. Strip 2 labels t alone,
-        # as v and (2, 5) sleep; it moves the block's row 3, of which (3, 4)
-        # is in the ring of (2, 5). Strip 3 labels (2, 5) again. v's ring
-        # never changes, so it is labeled once; a fresh border per strip
-        # labels all three in strip 2.
+        # v, t and (2, 5), and all three stay; then (2, 8) leaves, an edge
+        # neighbor of t, and the top row of the block, whose last, (2, 4),
+        # is an edge neighbor of (2, 5). Strip 2 labels t and (2, 5) again,
+        # as v sleeps, and both stay; it moves the block's row 3, of which
+        # (3, 4) is on a corner of (2, 5), not an edge. Strip 3 labels (3, 5),
+        # which that move put on the border, and neither v nor (2, 5). v's
+        # edge neighbors never move, so it is labeled once; a fresh border
+        # per strip labels all three in strip 2 and again in strip 3.
         lab = np.zeros((10, 11), dtype=np.int32)
         lab[1, 1:10] = 2
         lab[2:9, 1:6] = 1
@@ -1051,7 +1043,7 @@ class TestCarriedBorder:
         lab[2, 6:9] = 1
         lab[3:5, 7] = 1
         arrival = np.full(lab.shape, 10.0) + np.arange(11) + 20 * np.arange(10)[:, None]
-        arrival[2, 6], arrival[2, 7], arrival[2, 8] = 0.0, 1.0, 2.0
+        arrival[2, 6], arrival[2, 7], arrival[2, 8], arrival[2, 5] = 0.0, 1.0, 2.0, 3.0
         parts = _Parts(lab.copy(), 2)
         assert parts.quads[1] != 4
         labeled = []
@@ -1069,9 +1061,67 @@ class TestCarriedBorder:
         for _ in range(3):
             labeled.append([])
             moves += strips_of(parts, border, 100, 1)
-        assert labeled[:2] == [[(2, 6), (2, 7), (2, 5)], [(2, 7)]]
-        assert labeled[2][0] == (2, 5) and (2, 6) not in labeled[2]
+        assert labeled[:2] == [[(2, 6), (2, 7), (2, 5)], [(2, 7), (2, 5)]]
+        assert labeled[2][0] == (3, 5) and (2, 5) not in labeled[2] and (2, 6) not in labeled[2]
         assert moves[:2] == [{(2, 1), (2, 2), (2, 3), (2, 4), (2, 8)}, {(3, 1), (3, 2), (3, 3), (3, 4)}]
+        assert_state_exact(parts, 2)
+
+    def test_a_reject_wakes_mid_strip_when_the_voxel_it_cut_off_leaves(self):
+        # Part 1 is a 2x2 body with a chain r (2, 3), p (2, 4), q (2, 5)
+        # under part 2; the chain is the border. Strip 1 tests p, which
+        # stays as q would be cut off, and r, which stays as p and q would;
+        # then q leaves, which wakes p, its edge neighbor, but not r. In
+        # strip 2 p leaves, the one-voxel piece r cut off, which wakes r in
+        # the middle of the strip: r is tested at its turn and leaves too.
+        lab = np.zeros((5, 7), dtype=np.int32)
+        lab[1, 3:6] = 2
+        lab[2, 1:6] = 1
+        lab[3, 1:3] = 1
+        arrival = np.zeros(lab.shape)
+        arrival[2, 4], arrival[2, 3], arrival[2, 5] = 0.0, 1.0, 2.0
+        parts = _Parts(lab, 2)
+        border = _Border(parts, 1, 2, arrival)
+        assert strips_of(parts, border, 10, 1) == [{(2, 5)}]
+        assert flat_yx(parts, border.dormant) == [(2, 3)]
+        assert strips_of(parts, border, 10, 1) == [{(2, 4), (2, 3)}]
+        assert not border.dormant
+        assert_state_exact(parts, 2)
+
+    def test_a_corner_move_leaves_a_reject_asleep(self, monkeypatch):
+        # Part 1 is a 2x2 block with a tail (2, 3), (2, 4) on its lower
+        # right, trimmed into the background. r (2, 3) stays, as the tail's
+        # end would be cut off; then (1, 2), on r's corner, leaves. The end
+        # is still cut off without r, so r sleeps on, and the next strip
+        # reads the ring of the end alone, which leaves.
+        lab = np.zeros((4, 6), dtype=np.int32)
+        lab[1:3, 1:3] = 1
+        lab[2, 3:5] = 1
+        arrival = np.full(lab.shape, 5.0)
+        arrival[2, 3], arrival[1, 2], arrival[2, 4] = 0.0, 1.0, 2.0
+        parts = _Parts(lab, 1)
+        border = _Border(parts, 1, 0, arrival)
+        assert strips_of(parts, border, 1, 1) == [{(1, 2)}]
+        assert flat_yx(parts, border.dormant) == [(2, 3)]
+        lookups = counted_ring_table(monkeypatch)
+        assert strips_of(parts, border, 1, 1) == [{(2, 4)}]
+        assert len(lookups) == 2
+        assert not border.dormant
+        assert_state_exact(parts, 1)
+
+    def test_a_voxel_with_a_second_receiver_neighbor_is_listed_once(self):
+        # Part 1 is a 3x3 block under and right of part 2. (2, 2) leaves,
+        # then (2, 3), which puts (3, 3) on the border, then (3, 2), which
+        # gives (3, 3) a second neighbor in part 2: it is listed once.
+        lab = np.zeros((6, 6), dtype=np.int32)
+        lab[1, 1:5] = 2
+        lab[2:5, 1] = 2
+        lab[2:5, 2:5] = 1
+        arrival = np.full(lab.shape, 10.0) + np.arange(6)
+        arrival[2, 2], arrival[2, 3], arrival[3, 2] = 0.0, 1.0, 2.0
+        parts = _Parts(lab, 2)
+        border = _Border(parts, 1, 2, arrival)
+        assert strips_of(parts, border, 3, 1) == [{(2, 2), (2, 3), (3, 2)}]
+        assert [divmod(i, 6) for _, i in border.cand] == [(4, 2), (3, 3), (2, 4)]
         assert_state_exact(parts, 2)
 
     def test_balancing_matches_a_fresh_border_per_strip(self, monkeypatch):
@@ -1079,7 +1129,7 @@ class TestCarriedBorder:
         # few arrival values, so that most voxels tie: the carried border
         # must give the labels, or the error, of the reference strips.
         rng = np.random.default_rng(7)
-        strip_move, holes = subdivision._strip_move, 0
+        strip_move, holes, balanced = subdivision._strip_move, 0, 0
         for _ in range(240):
             h, w = (int(v) for v in rng.integers(6, 19, size=2))
             mask = rng.random((h, w)) < rng.uniform(0.55, 0.9)
@@ -1093,11 +1143,15 @@ class TestCarriedBorder:
             for strip in (strip_move, fresh_strip):
                 monkeypatch.setattr(subdivision, "_strip_move", strip)
                 try:
-                    outcomes.append(balance_areas(labels, k, arrival).tobytes())
+                    out = balance_areas(labels, k, arrival)
                 except BalanceError as err:
                     outcomes.append(str(err))
+                    continue
+                assert all(flood_fill_components(out == j, 4)[1] == 1 for j in range(1, k + 1))
+                outcomes.append(out.tobytes())
             assert outcomes[0] == outcomes[1]
-        assert holes >= 20
+            balanced += not isinstance(outcomes[0], str)
+        assert holes >= 20 and balanced >= 100
 
 
 class TestSubdivideEqual:
