@@ -10,6 +10,14 @@ deep interior. A split into k parts then plans cuts along the path, applies
 them and balances the part areas (``subdivision``). ``_run`` composes the
 stages once; ``extract_centerline``, ``subdivide_equal`` and the estimators
 are views of its record.
+
+Every stage runs on the region's bounding box, cropped from the grid once,
+so a small region on a large canvas costs what the region costs. This is
+exact: off the box is background, as off the grid is, and row-major order
+on the box is the grid's, so every tie breaks alike. The record keeps the
+grid's shape and the box, and its grid views place on the grid only what a
+caller returns: fields and labels filled around the box, voxels shifted by
+its corner. A descent stall is named on the grid as well.
 """
 
 from __future__ import annotations
@@ -21,7 +29,7 @@ import numpy as np
 from .distance import euclidean_distance_map
 from .eikonal import ArrivalField, argmax_field, descend, fast_march
 from .exceptions import AlgorithmError, ValidationError
-from .grid import _label_runs
+from .grid import _box, _label_runs
 from .subdivision import Cut, _plan_cuts, _subdivide, balance_areas
 from .validation import check_exponent, check_mask, check_positive_int
 
@@ -31,6 +39,8 @@ DEFAULT_EXPONENT = 6.0
 
 
 class _Record(NamedTuple):
+    shape: tuple[int, int]  # the grid's
+    box: tuple[slice, slice]  # the region's box on the grid, which every field below covers
     distance_map: np.ndarray
     first_wave: ArrivalField
     second_wave: ArrivalField
@@ -38,12 +48,34 @@ class _Record(NamedTuple):
     plan: list[Cut] | None  # the cut plan and label map, when a k was given
     labels: np.ndarray | None
 
+    def place(self, values: np.ndarray, fill) -> np.ndarray:
+        """A field on the box as a grid field, ``fill`` off the box."""
+        out = np.full(self.shape, fill, dtype=values.dtype)
+        out[self.box] = values
+        return out
+
+    def shift(self, voxel) -> tuple[int, int]:
+        """A voxel ``(x, y)`` of the box in grid coordinates."""
+        return voxel[0] + self.box[1].start, voxel[1] + self.box[0].start
+
+    def wave(self, field: ArrivalField) -> ArrivalField:
+        """A wave of the record on the grid."""
+        return ArrivalField(self.place(field.values, np.inf), self.shift(field.source))
+
+    def grid_path(self) -> list[tuple[int, int]]:
+        return [self.shift(voxel) for voxel in self.path]
+
+    def grid_plan(self) -> list[Cut]:
+        return [cut._replace(anchor=self.shift(cut.anchor)) for cut in self.plan]
+
 
 def _run(m: np.ndarray, exponent, k: int | None = None, balance=True) -> _Record:
-    """Every stage on a checked nonempty mask and k; checks exponent, ``balance``, connectivity."""
+    """Every stage on the box of a checked nonempty mask, and k; checks exponent, ``balance``, connectivity."""
     exponent = check_exponent(exponent)
     if not isinstance(balance, (bool, np.bool_)):
         raise ValidationError(f"balance must be True or False, got {balance!r}")
+    shape, box = m.shape, _box(m)
+    m = m[box]
     count = _label_runs(m, 4)[1]
     if count != 1:
         raise ValidationError(f"region not connected ({count} components)")
@@ -71,10 +103,13 @@ def _run(m: np.ndarray, exponent, k: int | None = None, balance=True) -> _Record
 
     # The pipeline built this field itself, so a stall is its own failure
     # (large exponents leave too little precision between arrival times).
+    # The walk ran on the box; its stall voxel is named on the grid.
     try:
         path = descend(second, end_b)
     except ValidationError as err:
-        raise AlgorithmError(f"centerline descent failed at exponent {exponent:g}: {err}") from err
+        x, y = err.voxel
+        where = str(err).replace(f"({x}, {y})", f"({x + box[1].start}, {y + box[0].start})", 1)
+        raise AlgorithmError(f"centerline descent failed at exponent {exponent:g}: {where}") from err
 
     plan = labels = None
     if k is not None:
@@ -82,7 +117,7 @@ def _run(m: np.ndarray, exponent, k: int | None = None, balance=True) -> _Record
         labels = _subdivide(m, path, [cut.index for cut in plan])
         if balance:
             labels = balance_areas(labels, k, second)
-    return _Record(dist, first, second, path, plan, labels)
+    return _Record(shape, box, dist, first, second, path, plan, labels)
 
 
 def extract_centerline(mask, exponent: float = DEFAULT_EXPONENT):
@@ -103,7 +138,7 @@ def extract_centerline(mask, exponent: float = DEFAULT_EXPONENT):
         can at large exponents.
     """
     record = _run(check_mask(mask, require_nonempty=True), exponent)
-    return record.path, record.second_wave
+    return record.grid_path(), record.wave(record.second_wave)
 
 
 def subdivide_equal(mask, k: int, exponent: float = DEFAULT_EXPONENT, balance: bool = True) -> np.ndarray:
@@ -115,4 +150,5 @@ def subdivide_equal(mask, k: int, exponent: float = DEFAULT_EXPONENT, balance: b
     trimmed voxels).
     """
     m = check_mask(mask, require_nonempty=True)
-    return _run(m, exponent, check_positive_int(k, "k"), balance).labels
+    record = _run(m, exponent, check_positive_int(k, "k"), balance)
+    return record.place(record.labels, 0)

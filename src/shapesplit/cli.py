@@ -136,8 +136,7 @@ def _cmd_subdivide(args) -> int:
 
 def _cmd_centerline(args) -> int:
     mask = formats.read_mask(_read_file(args.input))
-    est = CenterlineExtractor().fit(mask)
-    _write_file_atomic(args.output, _centerline_csv(est.path_))
+    _write_file_atomic(args.output, _centerline_csv(CenterlineExtractor().transform(mask)))
     return 0
 
 

@@ -18,11 +18,19 @@ E, N and S neighbour ids; id n, one past the last voxel, is a sentinel that
 stands for every neighbour off the domain. The sentinel's arrival time and
 potential are +inf, so its update is never an improvement and no round
 needs to filter it out. ``_march`` runs on compact arrays of n + 1 values.
-The graph is private to ``fast_march``, which builds it on each call and
-spreads the arrival times over the grid at the end. Each update takes the
-same operands through the same operations that a solver on the grid itself
-would, and reads only the previous round's values, so neither the numbering
-nor the order of the active list moves a bit of the result.
+The graph is private to ``fast_march``, which builds it on each call from
+the bounding box of the domain (row-major ranks on the box are the grid's,
+so the table is the same) and spreads the arrival times over the grid at
+the end. Each update takes the same operands through the same operations
+that a solver on the grid itself would, and reads only the previous round's
+values, so neither the numbering nor the order of the active list moves a
+bit of the result.
+
+A round allocates only what its active list needs. It de-duplicates the
+neighbour list by stamping each id with its position in the list, read
+from one order buffer ``0, 1, 2, ...`` that grows on demand to twice the
+longest list so far; a fixed buffer of all 4n positions would add half
+again to the march's peak memory.
 
 ``descend`` walks from a voxel to the source by repeatedly stepping to the
 8-neighbor with the smallest arrival time, which recovers the discrete
@@ -37,6 +45,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .exceptions import ValidationError
+from .grid import _box
 from .validation import check_coord, check_mask, check_scalar_field
 
 _INF = float("inf")
@@ -92,11 +101,14 @@ def fast_march(potential, domain, source) -> ArrivalField:
     weights[0, :-1] = v
     weights[1, :-1] = 2.0 * v * v
     del v
-    # Voxel ids are row-major ranks among the domain's voxels.
+    # Voxel ids are row-major ranks among the domain's voxels, on its box as
+    # on the grid.
+    box = _box(dom2d)
+    dom = dom2d[box]
     src = int(np.count_nonzero(dom2d[:sy])) + int(np.count_nonzero(dom2d[sy, :sx]))
-    u = _march(_graph(dom2d), weights, src)
+    u = _march(_graph(dom), weights, src)
     values = np.full((h, w), _INF)
-    values[dom2d] = u
+    values[box][dom] = u
     return ArrivalField(values=values, source=(sx, sy))
 
 
@@ -123,19 +135,24 @@ def _march(nbr: np.ndarray, weights: np.ndarray, src: int) -> np.ndarray:
     u = np.full(nbr.shape[1], _INF)
     u[src] = 0.0
     stamp = np.empty(u.size, dtype=np.intp)
+    order = np.arange(0)
+    pot, pot2 = weights
     changed = np.array([src])
     with np.errstate(invalid="ignore"):
         while changed.size:
             near = nbr.take(changed, axis=1).ravel()
             # De-duplicate: keep each voxel where its last write landed.
-            order = np.arange(near.size)
-            stamp[near] = order
-            active = near[stamp.take(near) == order]
+            if near.size > order.size:
+                order = np.arange(2 * near.size)
+            rank = order[: near.size]
+            stamp[near] = rank
+            active = near[stamp.take(near) == rank]
             q = u.take(nbr.take(active, axis=1))
             a = np.minimum(q[0], q[1])
             b = np.minimum(q[2], q[3])
             gap = np.abs(a - b)
-            v, v2 = weights.take(active, axis=1)
+            v = pot.take(active)
+            v2 = pot2.take(active)
             # Largest root of (U-a)+^2 + (U-b)+^2 = v^2, or the one-sided value
             # min(a, b) + v when the roots are invalid (also for an unreached axis).
             # The source never improves (every update is positive), nor does
@@ -191,9 +208,11 @@ def descend(field: ArrivalField, start) -> list[tuple[int, int]]:
                 best_val = u.item(ny, nx)
                 best = (nx, ny)
         if best is None:
-            raise ValidationError(
+            err = ValidationError(
                 f"stuck at non-source local minimum ({x}, {y}); arrival field is not descendable"
             )
+            err.voxel = (x, y)  # for a caller that walked a crop of its grid
+            raise err
         x, y = best
         path.append(best)
     return path

@@ -12,7 +12,7 @@ import inspect
 
 import numpy as np
 
-from .centerline import DEFAULT_EXPONENT, _run, extract_centerline
+from .centerline import DEFAULT_EXPONENT, _run
 from .validation import check_mask, check_positive_int
 
 
@@ -67,16 +67,18 @@ class CenterlineExtractor(BaseEstimator):
 
     def fit(self, X, y=None):
         record = _run(check_mask(X, require_nonempty=True), self.exponent)
-        self.path_ = np.asarray(record.path, dtype=np.int64)
-        self.endpoints_ = (record.path[0], record.path[-1])
-        self.distance_map_ = record.distance_map
-        self.first_arrival_ = record.first_wave.values
-        self.second_arrival_ = record.second_wave.values
+        path = record.grid_path()
+        self.path_ = np.asarray(path, dtype=np.int64)
+        self.endpoints_ = (path[0], path[-1])
+        self.distance_map_ = record.place(record.distance_map, 0.0)
+        self.first_arrival_ = record.place(record.first_wave.values, np.inf)
+        self.second_arrival_ = record.place(record.second_wave.values, np.inf)
         return self
 
     def transform(self, X) -> np.ndarray:
         """Centerline of ``X`` as an (L, 2) int array; stateless."""
-        return np.asarray(extract_centerline(X, self.exponent)[0], dtype=np.int64)
+        record = _run(check_mask(X, require_nonempty=True), self.exponent)
+        return np.asarray(record.grid_path(), dtype=np.int64)
 
     def fit_transform(self, X, y=None) -> np.ndarray:
         self.fit(X)
@@ -117,13 +119,13 @@ class EqualAreaSubdivider(BaseEstimator):
         mask = check_mask(X, require_nonempty=True)
         k = check_positive_int(self.n_regions, "n_regions")
         record = _run(mask, self.exponent, k, self.balance)
-        self.labels_ = labels = record.labels
-        self.cut_plan_ = record.plan
-        self.centerline_ = np.asarray(record.path, dtype=np.int64)
-        self.distance_map_ = record.distance_map
-        self.first_arrival_ = record.first_wave.values
-        self.second_arrival_ = record.second_wave.values
-        areas = np.bincount(labels.ravel(), minlength=k + 1)
+        self.labels_ = record.place(record.labels, 0)
+        self.cut_plan_ = record.grid_plan()
+        self.centerline_ = np.asarray(record.grid_path(), dtype=np.int64)
+        self.distance_map_ = record.place(record.distance_map, 0.0)
+        self.first_arrival_ = record.place(record.first_wave.values, np.inf)
+        self.second_arrival_ = record.place(record.second_wave.values, np.inf)
+        areas = np.bincount(record.labels.ravel(), minlength=k + 1)
         self.region_areas_ = areas[1 : k + 1].copy()
         self.n_trimmed_ = int(mask.sum()) - int(areas[1:].sum())
         return self

@@ -1,8 +1,13 @@
+import functools
+import re
+
 import numpy as np
 import pytest
 
 from shapesplit import (
     AlgorithmError,
+    CenterlineExtractor,
+    EqualAreaSubdivider,
     ValidationError,
     argmax_field,
     descend,
@@ -151,8 +156,8 @@ class TestCAnnulus:
     ],
 )
 def test_record_matches_public_chain(mask_fn):
-    # The record's waves, ends and path are those of the public functions
-    # composed by hand, byte for byte.
+    # The record's waves, ends and path, read through its grid views, are
+    # those of the public functions composed by hand on the grid, byte for byte.
     mask = mask_fn()
     record = _run(mask, DEFAULT_EXPONENT)
     h, w = mask.shape
@@ -165,11 +170,115 @@ def test_record_matches_public_chain(mask_fn):
     second = fast_march(potential, mask, end_a)
     end_b = argmax_field(second)
     path = descend(second, end_b)
-    assert record.distance_map.tobytes() == dist.tobytes()
-    for got, want in ((record.first_wave, first), (record.second_wave, second)):
+    assert record.place(record.distance_map, 0.0).tobytes() == dist.tobytes()
+    for got, want in ((record.wave(record.first_wave), first), (record.wave(record.second_wave), second)):
         assert got.values.dtype == want.values.dtype and got.values.shape == want.values.shape
         assert got.values.tobytes() == want.values.tobytes()
         assert got.source == want.source
-    assert record.second_wave.source == end_a
-    assert record.path[0] == end_b
-    assert record.path == path
+    assert record.wave(record.second_wave).source == end_a
+    assert record.grid_path()[0] == end_b
+    assert record.grid_path() == path
+
+
+# The crops of two regions and the k each is split into; each crop is placed
+# in a canvas 21 rows and 30 columns larger, inside it or against each edge
+# and in two corners, as in test_distance's placement test.
+PLACED = {"c_annulus": (make_c_annulus, 16), "blob7_96": (lambda: make_blob(7, size=96), 5)}
+OFFSETS = [(7, 9), (0, 9), (21, 9), (7, 0), (7, 30), (0, 0), (21, 30)]
+
+
+@functools.lru_cache
+def own_crop(name):
+    """The region's crop, and every output of the pipeline on the crop alone."""
+    mask_fn, k = PLACED[name]
+    mask = mask_fn()
+    ys, xs = np.nonzero(mask)
+    crop = mask[ys.min() : ys.max() + 1, xs.min() : xs.max() + 1]
+    return crop, k, run_every_view(crop, k)
+
+
+def run_every_view(mask, k):
+    return (
+        subdivide_equal(mask, k),
+        extract_centerline(mask),
+        EqualAreaSubdivider(n_regions=k).fit(mask),
+        CenterlineExtractor().fit(mask),
+    )
+
+
+def fitted(est):
+    return {name: value for name, value in vars(est).items() if name.endswith("_")}
+
+
+@pytest.mark.parametrize("offset", OFFSETS)
+@pytest.mark.parametrize("name", list(PLACED))
+def test_placement_in_a_larger_canvas_matches_own_crop(name, offset):
+    # Every stage runs on the region's box, so wherever the region sits the
+    # outputs are its crop's: fields and labels placed, voxels shifted.
+    crop, k, (labels, (path, arrival), subdivider, extractor) = own_crop(name)
+    h, w = crop.shape
+    y0, x0 = offset
+    canvas = np.zeros((h + 21, w + 30), dtype=bool)
+    canvas[y0 : y0 + h, x0 : x0 + w] = crop
+
+    def place(values, fill):
+        out = np.full(canvas.shape, fill, dtype=values.dtype)
+        out[y0 : y0 + h, x0 : x0 + w] = values
+        return out
+
+    def shift(voxel):
+        return voxel[0] + x0, voxel[1] + y0
+
+    got_labels, (got_path, got_arrival), got_subdivider, got_extractor = run_every_view(canvas, k)
+    assert got_labels.dtype == labels.dtype and np.array_equal(got_labels, place(labels, 0))
+    assert got_path == [shift(voxel) for voxel in path]
+    assert got_arrival.source == shift(arrival.source)
+    assert got_arrival.values.tobytes() == place(arrival.values, np.inf).tobytes()
+
+    xy = np.array([x0, y0])
+    want = fitted(subdivider)
+    want.update(
+        labels_=place(subdivider.labels_, 0),
+        centerline_=subdivider.centerline_ + xy,
+        cut_plan_=[cut._replace(anchor=shift(cut.anchor)) for cut in subdivider.cut_plan_],
+        distance_map_=place(subdivider.distance_map_, 0.0),
+        first_arrival_=place(subdivider.first_arrival_, np.inf),
+        second_arrival_=place(subdivider.second_arrival_, np.inf),
+    )
+    got = fitted(got_subdivider)
+    assert got.keys() == want.keys()
+    assert got["cut_plan_"] == want.pop("cut_plan_") and got.pop("n_trimmed_") == want.pop("n_trimmed_")
+    for attr, value in want.items():
+        assert got[attr].dtype == value.dtype and got[attr].tobytes() == value.tobytes(), attr
+
+    want = fitted(extractor)
+    want.update(
+        path_=extractor.path_ + xy,
+        endpoints_=tuple(shift(end) for end in extractor.endpoints_),
+        distance_map_=place(extractor.distance_map_, 0.0),
+        first_arrival_=place(extractor.first_arrival_, np.inf),
+        second_arrival_=place(extractor.second_arrival_, np.inf),
+    )
+    got = fitted(got_extractor)
+    assert got.keys() == want.keys()
+    assert got.pop("endpoints_") == want.pop("endpoints_")
+    for attr, value in want.items():
+        assert got[attr].dtype == value.dtype and got[attr].tobytes() == value.tobytes(), attr
+
+
+@pytest.mark.parametrize("offset", OFFSETS)
+def test_placed_descent_stall_names_its_voxel_on_the_grid(offset):
+    # The walk runs on the box; its stall voxel is reported on the grid.
+    crop = own_crop("c_annulus")[0]
+    with pytest.raises(AlgorithmError) as own:
+        extract_centerline(crop, exponent=30)
+    x, y = map(int, re.search(r"local minimum \((\d+), (\d+)\)", str(own.value)).groups())
+    h, w = crop.shape
+    y0, x0 = offset
+    canvas = np.zeros((h + 21, w + 30), dtype=bool)
+    canvas[y0 : y0 + h, x0 : x0 + w] = crop
+    want = str(own.value).replace(f"({x}, {y})", f"({x + x0}, {y + y0})")
+    for fit in (lambda m: extract_centerline(m, exponent=30), EqualAreaSubdivider(4, exponent=30).fit):
+        with pytest.raises(AlgorithmError) as placed:
+            fit(canvas)
+        assert str(placed.value) == want

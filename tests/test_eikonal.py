@@ -12,6 +12,7 @@ from shapesplit import (
     descend,
     euclidean_distance_map,
     fast_march,
+    subdivide_equal,
 )
 
 from conftest import make_blob
@@ -200,6 +201,21 @@ class TestFastMarch:
         finally:
             tracemalloc.stop()
         assert peak <= 1.5 * 12.3 * 2**20
+
+
+def test_peak_memory_of_a_small_region_on_a_large_canvas():
+    # Every stage runs on the region's box, so the only canvas-sized array is
+    # the returned label map (16 MiB of int32 here): the call peaks at
+    # 16.1 MiB, and one more canvas-sized field would add 16-32 MiB.
+    canvas = np.zeros((2048, 2048), dtype=bool)
+    canvas[976:1072, 976:1072] = make_blob(1, size=96)
+    tracemalloc.start()
+    try:
+        subdivide_equal(canvas, 2)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak <= 1.5 * 16.1 * 2**20
 
 
 class TestArgmaxField:
