@@ -5,11 +5,21 @@ includes the virtual voxels just outside the grid, so every true voxel gets
 a distance of at least 1. The transform is exact: squared distances are
 computed in integer arithmetic, one pass per axis. The vertical pass finds
 each voxel's row distance ``g`` to the nearest background in its column.
-The row pass then takes the definition itself,
-``min over p of (x - p)^2 + g[y, p]^2``, over a window of columns: the term
-``p = x`` already gives ``g[y, x]^2``, so a column can only do better when
-``|x - p| <= g[y, x]``, and a window as wide as the deepest ``g`` in the
-rows at hand misses no candidate.
+The row pass then needs ``min over p of (x - p)^2 + g[y, p]^2``. From
+``f_0 = g^2`` it steps ``f_i(x) = min(f_{i-1}(x), min(f_{i-1}(x - 1),
+f_{i-1}(x + 1)) + 2i - 1)``, the odd-increment erosion of Lotufo &
+Zampirolli (SIBGRAPI 2001). So ``f_i(x)`` is that minimum over
+``|x - p| <= i``: column ``x + i`` reaches ``x`` through ``x + 1``, adding
+``(i - 1)^2 + 2i - 1 = i^2`` to its ``g^2``, and no candidate through a
+neighbour undercuts its column's own term. No column farther than ``g[y, x]`` beats ``p = x``, and
+an off-grid column lies within ``w + 1``, so a block of rows steps at most
+to the smaller of its deepest ``g`` and ``w + 1``. It also stops at the
+first power-of-two step that improves no voxel: each voxel is then within
+``2i - 1`` of its neighbours, and every later step adds more. A block's
+rows lie end to end in one flat array, a zero before every row and after
+the last, so a step is three contiguous numpy calls. Each zero is the
+off-grid column of both rows beside it; a column past it is farther and
+no smaller, so rows never mix.
 
 Both passes run on the bounding box of the true voxels only. This is exact:
 the box's own off-array ring is background, just as the grid's is, and any
@@ -24,8 +34,8 @@ import numpy as np
 from .grid import _box
 from .validation import check_mask
 
-# Rows per row-pass block: each block scans only as far as its own deepest
-# voxel needs, so shallow rows do not pay for the deep ones.
+# Rows per row-pass block: a block steps only as far as its own voxels
+# need, so shallow rows do not pay for deep ones.
 _BLOCK = 32
 
 
@@ -58,19 +68,20 @@ def _squared_distance_map(mask: np.ndarray) -> np.ndarray:
     below = np.minimum.accumulate(np.where(mask, h, rows)[::-1], axis=0)[::-1]
     g = np.minimum(rows - above, below - rows)
 
-    # Row pass, in place over g. Padding each block with r zero columns per
-    # side puts the off-grid background at columns -1 and w; the zero
-    # columns beyond those are farther from every voxel, so they never win.
-    # The off-grid columns are within w + 1 of every voxel, which caps r.
+    # Row pass, in place over g, one block of rows at a time: f holds the
+    # block's rows of g^2 with a zero before each and after the last.
     for y0 in range(0, h, _BLOCK):
         blk = g[y0:y0 + _BLOCK]
         r = min(int(blk.max()), w + 1)
-        padded = np.zeros((blk.shape[0], w + 2 * r), dtype=np.int64)
-        np.multiply(blk, blk, out=padded[:, r:r + w])
-        blk[...] = padded[:, r:r + w]
-        tmp = np.empty_like(blk)
-        for d in range(1, r + 1):
-            for lo in (r - d, r + d):
-                np.add(padded[:, lo:lo + w], d * d, out=tmp)
-                np.minimum(blk, tmp, out=blk)
+        f = np.zeros(blk.size + blk.shape[0] + 1, dtype=np.int64)
+        cells = f[1:].reshape(-1, w + 1)[:, :w]
+        np.multiply(blk, blk, out=cells)
+        mid, t = f[1:-1], np.empty(f.size - 2, dtype=np.int64)
+        for i in range(1, r + 1):
+            np.minimum(f[:-2], f[2:], out=t)
+            t += 2 * i - 1
+            if i & (i - 1) == 0 and not (t < mid).any():
+                break
+            np.minimum(mid, t, out=mid)
+        blk[...] = cells
     return g

@@ -32,10 +32,11 @@ def brute_force_distance_map(mask) -> np.ndarray:
     tys, txs = np.nonzero(m)
     pts = np.stack([txs + 1, tys + 1], axis=1).astype(np.int64)
     best = np.empty(len(pts), dtype=np.int64)
-    for i in range(0, len(pts), 512):
-        chunk = pts[i : i + 512]
+    step = max(1, 2**20 // len(bg))  # about a million pairs per chunk, whatever the canvas
+    for i in range(0, len(pts), step):
+        chunk = pts[i : i + step]
         d2 = (chunk[:, None, 0] - bg[None, :, 0]) ** 2 + (chunk[:, None, 1] - bg[None, :, 1]) ** 2
-        best[i : i + 512] = d2.min(axis=1)
+        best[i : i + step] = d2.min(axis=1)
     out[tys, txs] = np.sqrt(best.astype(np.float64))
     return out
 

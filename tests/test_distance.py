@@ -1,5 +1,8 @@
 import numpy as np
 import pytest
+from hypothesis import assume, given, settings
+from hypothesis import strategies as st
+from hypothesis.extra.numpy import arrays
 
 from shapesplit import ValidationError, euclidean_distance_map
 
@@ -32,11 +35,23 @@ def test_matches_brute_force_exactly(seed):
 
 
 def _disk_and_line():
-    # spans row blocks that need different windows: a shallow one around
-    # the line, deep ones through the disk, and an empty one at the bottom
+    # spans row blocks of different depths, whose row passes end at
+    # different steps: a shallow one around the line, deep ones through the
+    # disk, and an empty one at the bottom
     yy, xx = np.mgrid[0:100, 0:100]
     mask = (yy - 60) ** 2 + (xx - 50) ** 2 <= 30 * 30
     mask[10, 5:95] = True
+    return mask
+
+
+def _line_ring_and_disk():
+    # more than two row blocks, each mixing depths: a one-voxel line, a
+    # thin ring whose column chords run deep, and a filled disk
+    yy, xx = np.mgrid[0:140, 0:120]
+    mask = (yy - 100) ** 2 + (xx - 60) ** 2 <= 35 * 35
+    ring = np.hypot(yy - 35, xx - 60)
+    mask |= (ring >= 20) & (ring <= 23)
+    mask[4, 3:117] = True
     return mask
 
 
@@ -49,10 +64,36 @@ def _disk_and_line():
         pytest.param(lambda: np.ones((1, 300), dtype=bool), id="filled_1x300"),
         pytest.param(lambda: np.ones((300, 1), dtype=bool), id="filled_300x1"),
         _disk_and_line,
+        _line_ring_and_disk,
     ],
 )
 def test_matches_brute_force_on_shapes(mask_fn):
     mask = mask_fn()
+    assert np.array_equal(euclidean_distance_map(mask), brute_force_distance_map(mask))
+
+
+@pytest.mark.parametrize("h", range(1, 21))
+def test_filled_rectangles_match_brute_force(h):
+    # a row pass ends at the first power-of-two step that improves no
+    # voxel, or at its cap: over these rectangles at steps 1, 2, 4, 8 and
+    # 16, and at the cap on the narrow ones
+    for w in (1, 2, 3 * h + 7):
+        for mask in (np.ones((h, w), dtype=bool), np.ones((w, h), dtype=bool)):
+            assert np.array_equal(euclidean_distance_map(mask), brute_force_distance_map(mask))
+
+
+def test_c_annulus_in_a_large_canvas_matches_brute_force():
+    annulus = make_c_annulus()
+    h, w = annulus.shape
+    canvas = np.zeros((256, 256), dtype=bool)
+    canvas[100 : 100 + h, 20 : 20 + w] = annulus
+    assert np.array_equal(euclidean_distance_map(canvas), brute_force_distance_map(canvas))
+
+
+@settings(max_examples=200, deadline=None)
+@given(arrays(bool, st.tuples(st.integers(1, 40), st.integers(1, 40))))
+def test_matches_brute_force_on_drawn_masks(mask):
+    assume(mask.any())
     assert np.array_equal(euclidean_distance_map(mask), brute_force_distance_map(mask))
 
 
