@@ -13,7 +13,7 @@ underlying operations are plain functions and can be composed directly.
 
 from .centerline import extract_centerline, subdivide_equal
 from .distance import euclidean_distance_map
-from .eikonal import ArrivalField, argmax_field, descend, fast_march
+from .eikonal import ArrivalField, VoxelGraph, argmax_field, descend, fast_march, march
 from .estimators import CenterlineExtractor, EqualAreaSubdivider
 from .exceptions import (
     AlgorithmError,
@@ -56,6 +56,7 @@ __all__ = [
     "RegionStats",
     "ShapeSplitError",
     "ValidationError",
+    "VoxelGraph",
     "argmax_field",
     "balance_areas",
     "connected_components",
@@ -63,6 +64,7 @@ __all__ = [
     "euclidean_distance_map",
     "extract_centerline",
     "fast_march",
+    "march",
     "read_field_csv",
     "read_labelmap",
     "read_mask",

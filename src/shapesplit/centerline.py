@@ -9,7 +9,11 @@ voxel. The walk traces the minimal path between the two ends, hugging the
 deep interior. A split into k parts then plans cuts along the path, applies
 them and balances the part areas (``subdivision``). ``_run`` composes the
 stages once; ``extract_centerline``, ``subdivide_equal`` and the estimators
-are views of its record.
+are views of its record. Both waves march on one voxel graph of the region
+(``eikonal.VoxelGraph``), so their potentials, arrival times and ends are
+arrays and argmaxes of the region's n voxels, and the first wave's reach
+tells whether the region is one piece; only a region in pieces is labeled,
+to name how many.
 
 Every stage runs on the region's bounding box, cropped from the grid once,
 so a small region on a large canvas costs what the region costs. This is
@@ -27,7 +31,7 @@ from typing import NamedTuple
 import numpy as np
 
 from .distance import euclidean_distance_map
-from .eikonal import ArrivalField, argmax_field, descend, fast_march
+from .eikonal import ArrivalField, VoxelGraph, descend, march
 from .exceptions import AlgorithmError, ValidationError
 from .grid import _box, _label_runs
 from .subdivision import Cut, _plan_cuts, _subdivide, balance_areas
@@ -76,36 +80,44 @@ def _run(m: np.ndarray, exponent, k: int | None = None, balance=True) -> _Record
         raise ValidationError(f"balance must be True or False, got {balance!r}")
     shape, box = m.shape, _box(m)
     m = m[box]
-    count = _label_runs(m, 4)[1]
-    if count != 1:
-        raise ValidationError(f"region not connected ({count} components)")
-
     dist = euclidean_distance_map(m)
-    y, x = divmod(int(np.argmax(dist)), m.shape[1])  # the deepest voxel seeds the first wave
-    first = fast_march(np.ones(m.shape), m, (x, y))
-    end_a = argmax_field(first)
+
+    # Both waves march on one voxel graph of the region, with the potentials
+    # and arrival times as its n values in row-major order; argmax breaks
+    # ties row-major, as on the grid. The deepest voxel seeds the first wave,
+    # which reaches every voxel iff the region is one 4-piece.
+    graph = VoxelGraph(m)
+    depth = dist[m]
+    deepest = int(np.argmax(depth))
+    u1 = march(graph, np.ones(graph.size), deepest)
+    if not np.isfinite(u1).all():
+        raise ValidationError(f"region not connected ({_label_runs(m, 4)[1]} components)")
+    end_a = int(np.argmax(u1))
 
     # Second wave: potential (d_max / d)^exponent is 1 at the deepest voxels
     # and large near the boundary, so arrival cost accumulates slowly along
     # the middle of the region.
-    d_max = float(dist[y, x])
-    potential = np.ones(m.shape)
+    d_max = float(depth[deepest])
     with np.errstate(over="ignore"):
-        potential[m] = (d_max / dist[m]) ** exponent
+        potential = (d_max / depth) ** exponent
     if not np.isfinite(potential).all():
         raise ValidationError(
             f"exponent {exponent:g} is too large for this region: the second wave's "
             f"potential ({d_max:g} / d) ** {exponent:g} overflows"
         )
-    second = fast_march(potential, m, end_a)
-    del potential  # free it before the stages below allocate
-    end_b = argmax_field(second)
+    u2 = march(graph, potential, end_a)
+    del potential, depth  # free them before the stages below allocate
+    # The far end is the largest finite arrival: a potential too large to
+    # square can leave reached voxels at +inf (see ``march``).
+    end_b = int(np.argmax(np.where(np.isfinite(u2), u2, -1.0)))
+    first = ArrivalField(graph.spread(u1), graph.voxel(deepest))
+    second = ArrivalField(graph.spread(u2), graph.voxel(end_a))
 
     # The pipeline built this field itself, so a stall is its own failure
     # (large exponents leave too little precision between arrival times).
     # The walk ran on the box; its stall voxel is named on the grid.
     try:
-        path = descend(second, end_b)
+        path = descend(second, graph.voxel(end_b))
     except ValidationError as err:
         x, y = err.voxel
         where = str(err).replace(f"({x}, {y})", f"({x + box[1].start}, {y + box[0].start})", 1)

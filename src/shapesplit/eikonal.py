@@ -1,7 +1,7 @@
 """Front propagation on a masked grid and descent through arrival times.
 
-``fast_march`` solves the discrete equation |grad U| = V on the true voxels
-of a domain mask with the Fast Iterative Method (Jeong & Whitaker, SIAM J.
+``march`` solves the discrete equation |grad U| = V on the true voxels of
+a domain mask with the Fast Iterative Method (Jeong & Whitaker, SIAM J.
 Sci. Comput. 30(5), 2008). Starting from +inf everywhere but the source,
 it keeps an active list of the voxels whose neighbours just improved and
 recomputes their standard upwind quadratic from the axis-wise neighbour
@@ -12,19 +12,21 @@ the discrete fixed point that Sethian's fast marching also computes (up to
 the last bit, where the two-sided root does not round monotonically).
 Small potential values mean fast propagation.
 
-The rounds run on the domain's voxel graph, not on the grid. ``_graph``
-numbers the domain's voxels in row-major order and tabulates each one's W,
-E, N and S neighbour ids; id n, one past the last voxel, is a sentinel that
-stands for every neighbour off the domain. The sentinel's arrival time and
-potential are +inf, so its update is never an improvement and no round
-needs to filter it out. ``_march`` runs on compact arrays of n + 1 values.
-The graph is private to ``fast_march``, which builds it on each call from
-the bounding box of the domain (row-major ranks on the box are the grid's,
-so the table is the same) and spreads the arrival times over the grid at
-the end. Each update takes the same operands through the same operations
-that a solver on the grid itself would, and reads only the previous round's
-values, so neither the numbering nor the order of the active list moves a
-bit of the result.
+The rounds run on the domain's voxel graph, not on the grid.
+``VoxelGraph`` numbers the domain's voxels in row-major order and
+tabulates each one's W, E, N and S neighbour ids; id n, one past the last
+voxel, is a sentinel that stands for every neighbour off the domain. The
+sentinel's arrival time is +inf, so its update is NaN, never an
+improvement, and no round needs to filter it out. ``march`` takes the
+potential and gives the arrival times as compact arrays of the n values in
+id order. The graph is public and shared: the pipeline builds one per
+region and marches both of its waves on it, and ``fast_march`` is the
+march on a grid, which builds the graph of the domain's bounding box
+(row-major ranks on the box are the grid's, so the table is the same) and
+places the arrival times on the grid. Each update takes the same operands
+through the same operations that a solver on the grid itself would, and
+reads only the previous round's values, so neither the numbering nor the
+order of the active list moves a bit of the result.
 
 A round allocates only what its active list needs. It de-duplicates the
 neighbour list by stamping each id with its position in the list, read
@@ -39,6 +41,7 @@ minimal path.
 
 from __future__ import annotations
 
+import dataclasses
 import math
 from dataclasses import dataclass
 
@@ -46,7 +49,7 @@ import numpy as np
 
 from .exceptions import ValidationError
 from .grid import _box
-from .validation import check_coord, check_mask, check_scalar_field
+from .validation import _as_int, check_coord, check_mask, check_scalar_field
 
 _INF = float("inf")
 
@@ -63,6 +66,127 @@ class ArrivalField:
     source: tuple[int, int]
 
 
+@dataclass(frozen=True)
+class VoxelGraph:
+    """The 4-neighbour graph of the true voxels of a 2D boolean ``domain``, on which the waves march.
+
+    The domain's n voxels are numbered 0..n-1 in row-major order.
+    ``neighbors`` is the ``(4, n + 1)`` table of each voxel's W, E, N and S
+    neighbour ids. Id ``n`` is the sentinel: it stands for every neighbour
+    off the domain, and its own neighbours are itself. The graph builds the
+    table from its domain and keeps both read-only, so a march never reads a
+    table that does not fit its domain.
+    """
+
+    domain: np.ndarray
+    neighbors: np.ndarray = dataclasses.field(init=False)
+
+    def __post_init__(self):
+        dom = check_mask(self.domain).copy()
+        h, w = dom.shape
+        n = int(np.count_nonzero(dom))
+        ids = np.full((h + 2, w + 2), n, dtype=np.intp)
+        ids[1:-1, 1:-1][dom] = np.arange(n)
+        nbr = np.empty((4, n + 1), dtype=np.intp)
+        nbr[:, n] = n
+        for row, (dy, dx) in enumerate(((1, 0), (1, 2), (0, 1), (2, 1))):
+            nbr[row, :n] = ids[dy : dy + h, dx : dx + w][dom]
+        dom.flags.writeable = nbr.flags.writeable = False
+        object.__setattr__(self, "domain", dom)
+        object.__setattr__(self, "neighbors", nbr)
+
+    @property
+    def size(self) -> int:
+        """The number n of the domain's voxels."""
+        return self.neighbors.shape[1] - 1
+
+    def voxel(self, index: int) -> tuple[int, int]:
+        """The ``(x, y)`` of the voxel with id ``index``."""
+        index = self._id(index)
+        before = np.count_nonzero(self.domain, axis=1).cumsum()  # voxels up to the end of each row
+        y = int(np.searchsorted(before, index, side="right"))
+        x = np.flatnonzero(self.domain[y])[index - (int(before[y - 1]) if y else 0)]
+        return int(x), y
+
+    def _id(self, index) -> int:
+        """``index`` as a plain int, checked to be a voxel id."""
+        try:
+            out = _as_int(index)
+        except (TypeError, ValueError, OverflowError):
+            raise ValidationError(f"voxel id must be an integer, got {index!r}") from None
+        if not 0 <= out < self.size:
+            raise ValidationError(f"{out} is not a voxel id of a graph of {self.size} voxels")
+        return out
+
+    def spread(self, values: np.ndarray) -> np.ndarray:
+        """Values in id order as a field on the domain's grid, +inf off the domain."""
+        out = np.full(self.domain.shape, _INF)
+        out[self.domain] = values
+        return out
+
+
+def march(graph: VoxelGraph, potential, source: int) -> np.ndarray:
+    """Arrival times, in id order, of a front grown from voxel ``source`` over ``graph``.
+
+    ``potential`` holds the graph's n values in id order, each positive and
+    finite: the cost per unit length of front travel (small = fast). Each
+    round recomputes, with array operations, the upwind update of every
+    voxel next to one that improved in the round before, and writes the
+    values that improve. Updates are computed from the previous round's
+    values only, so the result does not depend on the order of the active
+    list and is bit-identical across runs. A voxel the front cannot reach
+    keeps +inf, and so can one whose potential is too large to square
+    (above about 1e154): where both of its axes are reached, its two-sided
+    root overflows to +inf, which never improves.
+    """
+    n = graph.size
+    try:
+        v = np.asarray(potential, dtype=np.float64)
+    except (TypeError, ValueError):
+        raise ValidationError("potential must be an array of real numbers") from None
+    if v.shape != (n,):
+        raise ValidationError(f"potential must hold the graph's {n} values, got shape {v.shape}")
+    if not np.isfinite(v).all() or (v <= 0).any():
+        raise ValidationError("potential must be positive and finite on the domain")
+    src = graph._id(source)
+    # v and 2 v**2 per voxel id. The sentinel reads them clipped, as the
+    # last voxel's: its update is NaN whatever its potential, so it never
+    # improves. No output grid is held during the march, where the memory
+    # peaks.
+    nbr = graph.neighbors
+    u = np.full(n + 1, _INF)
+    u[src] = 0.0
+    stamp = np.empty(u.size, dtype=np.intp)
+    order = np.arange(0)
+    changed = np.array([src])
+    with np.errstate(invalid="ignore", over="ignore"):
+        pot, pot2 = v, 2.0 * v * v
+        while changed.size:
+            near = nbr.take(changed, axis=1).ravel()
+            # De-duplicate: keep each voxel where its last write landed.
+            if near.size > order.size:
+                order = np.arange(2 * near.size)
+            rank = order[: near.size]
+            stamp[near] = rank
+            active = near[stamp.take(near) == rank]
+            q = u.take(nbr.take(active, axis=1))
+            a = np.minimum(q[0], q[1])
+            b = np.minimum(q[2], q[3])
+            gap = np.abs(a - b)
+            v = pot.take(active, mode="clip")
+            v2 = pot2.take(active, mode="clip")
+            # Largest root of (U-a)+^2 + (U-b)+^2 = v^2, or the one-sided value
+            # min(a, b) + v when the roots are invalid (also for an unreached axis).
+            # The source never improves (every update is positive), nor does
+            # the sentinel (its update is NaN).
+            root = 0.5 * (a + b + np.sqrt(v2 - gap * gap))
+            new = np.where(gap >= v, np.minimum(a, b) + v, root)
+            better = new < u.take(active)
+            changed = active[better]
+            u[changed] = new[better]
+    return u[:-1]
+
+
 def fast_march(potential, domain, source) -> ArrivalField:
     """Propagate a front from ``source`` across the true voxels of ``domain``.
 
@@ -76,14 +200,9 @@ def fast_march(potential, domain, source) -> ArrivalField:
     source : (x, y)
         Seed voxel; must lie in the domain.
 
-    Each round recomputes, with array operations, the upwind update of every
-    domain voxel next to one that improved in the round before, and writes
-    the values that improve. The rounds run on the domain's voxel graph
-    (``_graph``), whose missing neighbours are a sentinel that never
-    improves, and the result is expanded to the grid at the end. Updates
-    are computed from the previous round's values only, so the result does
-    not depend on the order of the active list and is bit-identical across
-    runs.
+    The front is ``march``'s, on the ``VoxelGraph`` of the domain's
+    bounding box (row-major ranks on the box are the grid's, so the graph is
+    the same), and the arrival times are placed on the grid.
     """
     dom2d = check_mask(domain)
     h, w = dom2d.shape
@@ -91,78 +210,13 @@ def fast_march(potential, domain, source) -> ArrivalField:
     sx, sy = check_coord(source, (h, w))
     if not dom2d[sy, sx]:
         raise ValidationError(f"source ({sx}, {sy}) is not inside the domain")
-    v = pot2d[dom2d]
-    if not np.isfinite(v).all() or (v <= 0).any():
-        raise ValidationError("potential must be positive and finite on the domain")
-    # Rows v and 2 v**2 per voxel id; with potential +inf the sentinel never
-    # improves. Neither ``v`` nor the output grid is held during the march,
-    # where the memory peaks.
-    weights = np.full((2, v.size + 1), _INF)
-    weights[0, :-1] = v
-    weights[1, :-1] = 2.0 * v * v
-    del v
-    # Voxel ids are row-major ranks among the domain's voxels, on its box as
-    # on the grid.
     box = _box(dom2d)
-    dom = dom2d[box]
+    graph = VoxelGraph(dom2d[box])
     src = int(np.count_nonzero(dom2d[:sy])) + int(np.count_nonzero(dom2d[sy, :sx]))
-    u = _march(_graph(dom), weights, src)
+    u = march(graph, pot2d[box][graph.domain], src)
     values = np.full((h, w), _INF)
-    values[box][dom] = u
+    values[box][graph.domain] = u
     return ArrivalField(values=values, source=(sx, sy))
-
-
-def _graph(domain: np.ndarray) -> np.ndarray:
-    """The ``(4, n + 1)`` table of W, E, N and S neighbour ids of a domain's n voxels.
-
-    Voxels are numbered in row-major order. Id ``n`` is the sentinel: it
-    stands for every neighbour off the domain, and its own neighbours are
-    itself.
-    """
-    h, w = domain.shape
-    n = int(np.count_nonzero(domain))
-    ids = np.full((h + 2, w + 2), n, dtype=np.intp)
-    ids[1:-1, 1:-1][domain] = np.arange(n)
-    nbr = np.empty((4, n + 1), dtype=np.intp)
-    nbr[:, n] = n
-    for row, (dy, dx) in enumerate(((1, 0), (1, 2), (0, 1), (2, 1))):
-        nbr[row, :n] = ids[dy : dy + h, dx : dx + w][domain]
-    return nbr
-
-
-def _march(nbr: np.ndarray, weights: np.ndarray, src: int) -> np.ndarray:
-    """Arrival times on the graph of ``nbr`` from voxel ``src``, in id order."""
-    u = np.full(nbr.shape[1], _INF)
-    u[src] = 0.0
-    stamp = np.empty(u.size, dtype=np.intp)
-    order = np.arange(0)
-    pot, pot2 = weights
-    changed = np.array([src])
-    with np.errstate(invalid="ignore"):
-        while changed.size:
-            near = nbr.take(changed, axis=1).ravel()
-            # De-duplicate: keep each voxel where its last write landed.
-            if near.size > order.size:
-                order = np.arange(2 * near.size)
-            rank = order[: near.size]
-            stamp[near] = rank
-            active = near[stamp.take(near) == rank]
-            q = u.take(nbr.take(active, axis=1))
-            a = np.minimum(q[0], q[1])
-            b = np.minimum(q[2], q[3])
-            gap = np.abs(a - b)
-            v = pot.take(active)
-            v2 = pot2.take(active)
-            # Largest root of (U-a)+^2 + (U-b)+^2 = v^2, or the one-sided value
-            # min(a, b) + v when the roots are invalid (also for an unreached axis).
-            # The source never improves (every update is positive), nor does
-            # the sentinel (its update is NaN).
-            root = 0.5 * (a + b + np.sqrt(v2 - gap * gap))
-            new = np.where(gap >= v, np.minimum(a, b) + v, root)
-            better = new < u.take(active)
-            changed = active[better]
-            u[changed] = new[better]
-    return u[:-1]
 
 
 def argmax_field(field: ArrivalField) -> tuple[int, int]:
@@ -195,24 +249,30 @@ def descend(field: ArrivalField, start) -> list[tuple[int, int]]:
     if not math.isfinite(u[y, x]):
         raise ValidationError(f"start ({x}, {y}) has no finite arrival time")
 
-    path = [(x, y)]
-    best_val = u.item(y, x)  # item reads a Python float, cheaper to compare than a numpy scalar
-    while best_val != 0.0:  # best_val is always the arrival at (x, y)
-        best = None
-        for dx, dy in NEIGHBOR_STEPS_8:
-            nx = x + dx
-            ny = y + dy
-            if not (0 <= nx < w and 0 <= ny < h):
-                continue
-            if u.item(ny, nx) < best_val:
-                best_val = u.item(ny, nx)
-                best = (nx, ny)
-        if best is None:
-            err = ValidationError(
-                f"stuck at non-source local minimum ({x}, {y}); arrival field is not descendable"
-            )
+    # The walk visits only finite voxels. Their bounding box, padded with
+    # +inf, which is never smaller, is read through a memoryview: a neighbour
+    # is a fixed flat offset and needs no bounds check, and a field on a
+    # large canvas is not copied whole. Padded voxel (0, 0) is grid voxel
+    # (x0, y0).
+    rows, cols = _box(np.isfinite(u))
+    x0, y0 = cols.start - 1, rows.start - 1
+    pitch = cols.stop - x0 + 1
+    flat = memoryview(np.pad(u[rows, cols], 1, constant_values=_INF).reshape(-1))
+    steps = [dy * pitch + dx for dx, dy in NEIGHBOR_STEPS_8]
+    i = (y - y0) * pitch + x - x0
+    visited = [i]
+    best_val = flat[i]  # a Python float, cheaper to compare than a numpy scalar
+    while best_val != 0.0:  # best_val is always the arrival at voxel i
+        best = i
+        for step in steps:
+            if flat[i + step] < best_val:
+                best_val = flat[i + step]
+                best = i + step
+        if best == i:
+            x, y = i % pitch + x0, i // pitch + y0
+            err = ValidationError(f"stuck at non-source local minimum ({x}, {y}); arrival field is not descendable")
             err.voxel = (x, y)  # for a caller that walked a crop of its grid
             raise err
-        x, y = best
-        path.append(best)
-    return path
+        i = best
+        visited.append(i)
+    return [(j % pitch + x0, j // pitch + y0) for j in visited]

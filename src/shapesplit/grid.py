@@ -2,12 +2,16 @@
 
 Coordinates are ``(x, y)`` pairs on a ``width x height`` grid; arrays are
 indexed ``[y, x]``. Everything outside the grid counts as background.
-Every connectivity question in the library (is a region one piece, which
-pieces does a cut leave, does a part stay one piece around a hole, is every
-part of a label map one piece) is answered by the one run-based labeling in
-``_label_runs``: of a mask, or of a label map at once, where runs join only
-runs of their own label. A cut band's pieces need no labeling: they are
-read off the rows of its line (``subdivision._band``).
+Every connectivity question in the library (how many pieces a region has,
+which pieces a cut leaves, whether a part stays one piece around a hole,
+whether every part of a label map is one piece) is answered by the one
+run-based labeling in ``_label_runs``: of a mask, or of a label map at once, where
+runs join only runs of their own label. A cut band's pieces need no
+labeling: they are read off the rows of its line (``subdivision._band``),
+and the pipeline reads whether its region is one piece off the first
+wave's reach. The labeling's run finder, ``_runs``, and its pairs of runs
+that touch across rows, ``_touching``, also give balancing its counts
+(``subdivision._counts``) and the distance map its column runs.
 """
 
 from __future__ import annotations
@@ -32,6 +36,39 @@ def connected_components(mask, connectivity: int = 4) -> tuple[np.ndarray, int]:
     return _label_runs(check_mask(mask), check_connectivity(connectivity))
 
 
+def _runs(values: np.ndarray) -> tuple[np.ndarray, int, np.ndarray, np.ndarray]:
+    """``(flat, pitch, starts, ends)``: the maximal row runs of one nonzero value in a 2-D array.
+
+    ``flat`` holds the rows, each with a zero in front, and a zero at the
+    end; a run is ``flat[start:end]``, and value ``(y, x)`` sits at
+    ``y * pitch + 1 + x``. Runs never wrap to the next row, and they come
+    in row-major order.
+    """
+    h, w = values.shape
+    pitch = w + 1
+    flat = np.zeros(h * pitch + 1, dtype=values.dtype)
+    flat[:-1].reshape(h, pitch)[:, 1:] = values
+    change = np.flatnonzero(flat[1:] != flat[:-1]) + 1
+    starts = change[flat[change] != 0]
+    ends = change[flat[change - 1] != 0]
+    return flat, pitch, starts, ends
+
+
+def _touching(starts: np.ndarray, ends: np.ndarray, pitch: int, slack: int) -> tuple[np.ndarray, np.ndarray]:
+    """``(src, dst)``: every run ``src`` and run ``dst`` one row up whose columns overlap.
+
+    Runs are those of ``_runs``; ``slack`` widens each run by that many
+    columns on each side, 1 for 8-connectivity. The runs one row up that
+    touch run i are the runs [lo, hi).
+    """
+    lo = np.searchsorted(ends, starts - pitch - slack, side="right")
+    hi = np.searchsorted(starts, ends - pitch + slack, side="left")
+    touching = hi - lo
+    src = np.repeat(np.arange(starts.size), touching)
+    dst = np.arange(src.size) + np.repeat(lo - np.cumsum(touching) + touching, touching)
+    return src, dst
+
+
 def _label_runs(values: np.ndarray, conn: int) -> tuple[np.ndarray, int]:
     """Label the ``conn``-connected pieces of equal nonzero value in a 2-D array.
 
@@ -40,25 +77,9 @@ def _label_runs(values: np.ndarray, conn: int) -> tuple[np.ndarray, int]:
     the runs of its value it touches on the row above. Numbering and return
     value are those of ``connected_components``, with zeros as background.
     """
-    h, w = values.shape
-    # Rows with a zero in front, flattened, with a zero at the end: runs are
-    # [start, end) between changes of value and never wrap to the next row.
-    pitch = w + 1
-    flat = np.zeros(h * pitch + 1, dtype=values.dtype)
-    flat[:-1].reshape(h, pitch)[:, 1:] = values
-    change = np.flatnonzero(flat[1:] != flat[:-1]) + 1
-    starts = change[flat[change] != 0]
-    ends = change[flat[change - 1] != 0]
-
-    # Runs touch across rows when their columns overlap, widened by one on each
-    # side at 8-connectivity: the runs [lo, hi) one row up. Keep the touching
-    # pairs (src, dst) of equal value.
-    slack = 0 if conn == 4 else 1
-    lo = np.searchsorted(ends, starts - pitch - slack, side="right")
-    hi = np.searchsorted(starts, ends - pitch + slack, side="left")
-    touching = hi - lo
-    src = np.repeat(np.arange(starts.size), touching)
-    dst = np.arange(src.size) + np.repeat(lo - np.cumsum(touching) + touching, touching)
+    flat, pitch, starts, ends = _runs(values)
+    # Keep the touching pairs (src, dst) of equal value.
+    src, dst = _touching(starts, ends, pitch, 0 if conn == 4 else 1)
     same = flat[starts[src]] == flat[starts[dst]]
     src, dst = src[same], dst[same]
 
@@ -79,6 +100,6 @@ def _label_runs(values: np.ndarray, conn: int) -> tuple[np.ndarray, int]:
     # Roots in run order are the components in order of first encounter, and
     # the nonzero voxels in row-major order are the runs in order.
     number = np.cumsum(parent == np.arange(parent.size), dtype=np.int32)
-    labels = np.zeros((h, w), dtype=np.int32)
+    labels = np.zeros(values.shape, dtype=np.int32)
     labels[values != 0] = np.repeat(number[parent], ends - starts)
     return labels, int(number[-1]) if number.size else 0

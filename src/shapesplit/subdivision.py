@@ -10,9 +10,11 @@ into the background, so that all areas come out exactly equal. It keeps
 the labels, Euler numbers and boxes of the parts up to date voxel by voxel,
 and each pair's border from strip to strip: the border is read once per
 pair, each move adds the voxels it puts on it, and a voxel that cannot
-leave is not tested again until one of its 4-neighbors moves. The areas
-and border lengths, which only building a tree reads, are counted from the
-labels once per tree.
+leave is not tested again until one of its 4-neighbors moves. Once per
+tree, every part's area, Euler number, box and border lengths are counted
+afresh from the row runs of the labels (``_counts``), the runs of the one
+run finder that labeling uses (``grid._runs``), so a count costs the
+parts' runs, not a pass per quantity over their box.
 Connectivity is asked at the size of the question: each cut labels what is
 left to label on its bounding box, a band and its 4-pieces are read off the
 rows of its line, which hold one voxel or two side by side, a new part is
@@ -31,7 +33,7 @@ from typing import NamedTuple
 import numpy as np
 
 from .exceptions import BalanceError, CutError, ValidationError
-from .grid import _box, _label_runs
+from .grid import _box, _label_runs, _runs, _touching
 from .validation import (
     _as_int,
     check_labelmap,
@@ -274,7 +276,46 @@ def _ring_entry(pattern: int) -> tuple[int, int]:
 
 
 _RING_TABLE = [_ring_entry(pattern) for pattern in range(256)]
-_RING_QUADS = np.array(_RING_TABLE)[:, 1]
+
+
+def _counts(lab: np.ndarray, k: int) -> tuple[list[int], list[int], list[list[int]], list[list[int]]]:
+    """``(areas, quads, boxes, touch)`` of the parts 1..k of a padded label box, from its row runs.
+
+    Per part: ``areas``; ``quads``, Gray's bit-quad sum, which is four times
+    the Euler number, the runs less the pairs of its runs that share a
+    column across adjacent rows (the vertices less the edges of its run
+    graph); and ``boxes`` ([y0, y1, x0, x1]). ``touch[a][b]`` counts the
+    4-adjacent voxel pairs of parts a and b: the columns that runs of a and
+    b share across adjacent rows, and the runs of a and b that abut in a
+    row. The background has no runs, so its entries are 0, but for its
+    box, which the padding makes the whole box; a part not in ``lab`` has
+    zeros too, and a box that means nothing.
+    """
+    flat, pitch, starts, ends = _runs(lab)
+    part = flat[starts]
+    n = k + 1
+    areas = np.bincount(part, ends - starts, n).astype(int)
+    src, dst = _touching(starts, ends, pitch, 0)
+    same = part[src] == part[dst]
+    quads = 4 * (np.bincount(part, minlength=n) - np.bincount(part[src[same]], minlength=n))
+    src, dst = src[~same], dst[~same]
+    shared = np.minimum(ends[src] - pitch, ends[dst]) - np.maximum(starts[src] - pitch, starts[dst])
+    abut = np.flatnonzero(ends[:-1] == starts[1:])
+    pairs = np.concatenate((part[src] * n + part[dst], part[abut] * n + part[abut + 1]))
+    touch = np.bincount(pairs, np.concatenate((shared, np.ones(abut.size))), n * n).reshape(n, n)
+    touch = (touch + touch.T).astype(int)
+    # A box spans the first and last row and column its part's runs reach.
+    rows = starts // pitch
+    first, last = starts - rows * pitch - 1, ends - rows * pitch - 2
+
+    def span(lo, hi, size):
+        seen = np.zeros((n, size), dtype=bool)
+        seen[part, lo] = seen[part, hi] = True
+        return seen.argmax(axis=1), size - 1 - seen[:, ::-1].argmax(axis=1)
+
+    boxes = np.stack(span(rows, rows, lab.shape[0]) + span(first, last, lab.shape[1]), axis=1)
+    boxes[0] = 0, lab.shape[0] - 1, 0, lab.shape[1] - 1
+    return areas.tolist(), quads.tolist(), boxes.tolist(), touch.tolist()
 
 
 class _Parts:
@@ -284,23 +325,18 @@ class _Parts:
     neighbors need no bounds checks, and ``flat`` a row-major memoryview of
     the same buffer, for fast reads and writes of one voxel. Per part:
     ``quads`` (the bit-quad sum of ``_ring_entry``, 4 iff no holes) and
-    ``boxes`` ([y0, y1, x0, x1], exact at the start, then grown and never
-    shrunk, so covering the part).
+    ``boxes`` ([y0, y1, x0, x1], exact at a count, then grown and never
+    shrunk, so covering the part). ``areas`` and ``touch``, which only
+    building a tree reads, are exact at a count only.
     """
 
     def __init__(self, lab: np.ndarray, k: int):
-        self.lab, self.flat, self.width = lab, memoryview(lab.reshape(-1)), lab.shape[1]
-        # A quad sum is what the voxels add joining their part in row-major order.
-        inner, (h, w) = lab[1:-1, 1:-1], lab.shape
-        before = [(i, dx, dy) for i, (dx, dy) in enumerate(_RING) if (dy, dx) < (0, 0)]
-        pattern = sum((lab[1 + dy : h - 1 + dy, 1 + dx : w - 1 + dx] == inner) << i for i, dx, dy in before)
-        self.quads = np.bincount(inner.ravel(), _RING_QUADS[pattern].ravel(), k + 1).astype(int).tolist()
-        # Which labels each row and each column holds; a box spans the first and last of them.
-        n = k + 1
-        rows = np.bincount((lab + n * np.arange(h)[:, None]).ravel(), minlength=n * h).reshape(h, n).T > 0
-        cols = np.bincount((lab + n * np.arange(w)).ravel(), minlength=n * w).reshape(w, n).T > 0
-        y0, y1, x0, x1 = (a.argmax(axis=1) for a in (rows, rows[:, ::-1], cols, cols[:, ::-1]))
-        self.boxes = np.stack([y0, h - 1 - y1, x0, w - 1 - x1], axis=1).tolist()
+        self.lab, self.flat, self.width, self.k = lab, memoryview(lab.reshape(-1)), lab.shape[1], k
+        self.count()
+
+    def count(self) -> None:
+        """Count every part afresh from ``lab`` (``_counts``)."""
+        self.areas, self.quads, self.boxes, self.touch = _counts(self.lab, self.k)
 
     def border(self, give: int, take: int) -> tuple[np.ndarray, np.ndarray]:
         """``(ys, xs)`` of part ``give``'s voxels 4-adjacent to part ``take``, row-major.
@@ -429,14 +465,6 @@ def _strip_move(parts: _Parts, border: _Border, limit: int) -> int:
     return moved
 
 
-def _touch(lab: np.ndarray, k: int) -> list[list[int]]:
-    """``touch[a][b]``: the number of 4-adjacent voxel pairs labeled a and b in ``lab``, which holds 0..k."""
-    pairs = ((lab[:, :-1], lab[:, 1:]), (lab[:-1], lab[1:]))
-    touch = sum(np.bincount((a * (k + 1) + b).ravel(), minlength=(k + 1) ** 2) for a, b in pairs)
-    touch = touch.reshape(k + 1, k + 1)
-    return (touch + touch.T).tolist()
-
-
 def _spanning_tree(touch: list[list[int]], k: int, blocked: set) -> tuple[list[int], list[int]] | None:
     """``(order, parent)``: a maximum spanning tree of parts 1..k, rooted at k; None when none spans.
 
@@ -495,8 +523,9 @@ def balance_areas(labels, k: int, arrival) -> np.ndarray:
     starts and carried by a ``_Border`` through its strips, which adds the
     voxels each move puts on it and skips a voxel that could not leave
     until one of its 4-neighbors moves; the moves are those of a fresh
-    border per strip with every candidate tested. Areas and border lengths
-    are counted from the labels at the start of each round.
+    border per strip with every candidate tested. Areas, Euler numbers,
+    boxes and border lengths are counted from the labels' row runs at the
+    start of each round.
 
     Raises
     ------
@@ -533,14 +562,13 @@ def balance_areas(labels, k: int, arrival) -> np.ndarray:
     # blocked twice, so there are at most k(k - 1)/2 rebuilds, and the loop
     # ends with no cap on moves.
     blocked = set()
-    # areas[0] counts the background
-    while (areas := np.bincount(parts.lab.ravel(), minlength=k + 1).tolist())[1:] != goals[1:]:
-        tree = _spanning_tree(_touch(parts.lab, k), k, blocked)
+    while parts.areas[1:] != goals[1:]:
+        tree = _spanning_tree(parts.touch, k, blocked)
         if tree is None:
-            report = ", ".join(f"{j}: {areas[j]}" for j in range(1, k + 1))
+            report = ", ".join(f"{j}: {parts.areas[j]}" for j in range(1, k + 1))
             raise BalanceError(f"balance failed; region areas: {report}")
         order, parent = tree
-        flow = [area - goal for area, goal in zip(areas, goals)]
+        flow = [area - goal for area, goal in zip(parts.areas, goals)]
         for j in reversed(order[1:]):
             flow[parent[j]] += flow[j]
         moves = [(j, parent[j], flow[j]) for j in reversed(order[1:]) if flow[j] > 0]
@@ -552,6 +580,7 @@ def balance_areas(labels, k: int, arrival) -> np.ndarray:
             if need:
                 blocked |= {(give, take), (take, give)}
                 break
+        parts.count()
 
     # Trim: a strip from region k into the background, outermost first; the
     # padding puts the grid's outside in the background.

@@ -83,6 +83,45 @@ def test_disconnected_mask_rejected():
         extract_centerline(mask)
 
 
+def in_pieces(pieces: int) -> np.ndarray:
+    """The C annulus with ``pieces - 1`` more pieces: a voxel in a corner, then a 3x3 square.
+
+    The annulus overflows the potential at exponent 400 and underflows it
+    at -2000, so only the connectivity check stands between those and the
+    second wave.
+    """
+    mask = make_c_annulus()
+    assert not mask[:6, :6].any()
+    mask[0, 0] = True
+    if pieces == 3:
+        mask[2:5, 2:5] = True
+    return mask
+
+
+@pytest.mark.parametrize("exponent", [DEFAULT_EXPONENT, 400, -2000])
+@pytest.mark.parametrize("pieces", [2, 3])
+def test_region_in_pieces_is_rejected_with_their_count(pieces, exponent):
+    # the first wave stops short of the other pieces, and one labeling counts them
+    mask = in_pieces(pieces)
+    calls = [
+        lambda: subdivide_equal(mask, 4, exponent),
+        lambda: extract_centerline(mask, exponent),
+        lambda: EqualAreaSubdivider(n_regions=4, exponent=exponent).fit(mask),
+        lambda: CenterlineExtractor(exponent).fit(mask),
+    ]
+    for call in calls:
+        with pytest.raises(ValidationError) as info:
+            call()
+        assert str(info.value) == f"region not connected ({pieces} components)"
+
+
+def test_pieces_that_meet_only_at_a_corner_are_apart():
+    mask = np.zeros((6, 6), dtype=bool)
+    mask[:3, :3] = mask[3:, 3:] = True
+    with pytest.raises(ValidationError, match=r"^region not connected \(2 components\)$"):
+        subdivide_equal(mask, 2)
+
+
 def test_empty_mask_rejected():
     with pytest.raises(ValidationError, match="empty region"):
         extract_centerline(np.zeros((5, 5), dtype=bool))
@@ -97,6 +136,27 @@ def test_descent_stall_at_large_exponent_is_an_algorithm_error(c_annulus_mask):
     # the arrival times lose the precision that descent needs
     with pytest.raises(AlgorithmError, match="exponent 30"):
         extract_centerline(c_annulus_mask, exponent=30)
+
+
+def test_potential_too_large_to_square_gives_the_public_chains_stall(c_annulus_mask):
+    # At exponent 200 the potential is finite but 2 v**2 overflows near the
+    # wall, so some reached voxels keep +inf: the far end is the largest
+    # finite arrival, and the stall is the one of the public functions.
+    mask, exponent = c_annulus_mask, 200
+    dist = euclidean_distance_map(mask)
+    h, w = mask.shape
+    idx = int(np.argmax(dist))
+    end_a = argmax_field(fast_march(np.ones((h, w)), mask, (idx % w, idx // w)))
+    potential = np.ones((h, w))
+    potential[mask] = (dist.max() / dist[mask]) ** exponent
+    assert np.isfinite(potential).all()
+    second = fast_march(potential, mask, end_a)
+    assert np.isinf(second.values[mask]).any()
+    with pytest.raises(ValidationError) as want:
+        descend(second, argmax_field(second))
+    with pytest.raises(AlgorithmError) as info:
+        extract_centerline(mask, exponent)
+    assert str(info.value) == f"centerline descent failed at exponent 200: {want.value}"
 
 
 def test_overflowing_exponent_rejected(c_annulus_mask):

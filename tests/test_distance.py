@@ -1,3 +1,5 @@
+import tracemalloc
+
 import numpy as np
 import pytest
 from hypothesis import assume, given, settings
@@ -112,6 +114,60 @@ def test_placement_in_a_larger_canvas_matches_own_crop(offset):
     want = np.zeros(canvas.shape)
     want[y0 : y0 + h, x0 : x0 + w] = euclidean_distance_map(crop)
     assert np.array_equal(got, want)
+
+
+def _columns_of_several_runs():
+    # column x alternates runs of x % 6 + 1 true and x % 4 + 1 false rows,
+    # so runs start on the first row, some end on the last, and a column
+    # holds up to 20 of them
+    yy, xx = np.mgrid[0:41, 0:24]
+    return yy % (xx % 6 + xx % 4 + 2) <= xx % 6
+
+
+def _first_and_last_rows():
+    # runs that reach the first or the last row, or both, beside runs in between
+    mask = np.zeros((9, 8), dtype=bool)
+    mask[0, :5] = mask[8, 3:] = True
+    mask[:, 0] = mask[:4, 6] = mask[5:, 7] = mask[3:6, 2] = True
+    return mask
+
+
+@pytest.mark.parametrize(
+    "mask_fn",
+    [
+        _columns_of_several_runs,
+        _first_and_last_rows,
+        pytest.param(lambda: np.arange(50)[None, :] % 3 != 1, id="row_1x50_gapped"),
+        pytest.param(lambda: np.arange(50)[:, None] % 4 != 2, id="column_50x1_gapped"),
+        pytest.param(lambda: np.ones((1, 1), dtype=bool), id="filled_1x1"),
+        pytest.param(lambda: np.indices((33, 31)).sum(axis=0) % 2 == 0, id="checkerboard"),
+        pytest.param(lambda: np.indices((30, 30)).sum(axis=0) % 2 == 1, id="checkerboard_odd"),
+    ],
+)
+def test_vertical_pass_from_column_runs_matches_brute_force(mask_fn):
+    mask = mask_fn()
+    assert np.array_equal(euclidean_distance_map(mask), brute_force_distance_map(mask))
+
+
+def test_column_longer_than_the_square_root_of_int32():
+    # a column run of 92682 rows reaches g = 46341 in its middle, whose
+    # square overflows int32
+    assert (euclidean_distance_map(np.ones((92682, 1), dtype=bool)) == 1.0).all()
+
+
+def test_peak_memory_on_filled_square():
+    # The vertical pass holds int32 values of the voxels and writes an int32
+    # g: the call peaks at 4.3 MiB here (about 17 bytes per voxel, the
+    # float64 result included), where int64 grids of the box, four of them
+    # alive at once, peaked at 12.0 MiB.
+    mask = np.ones((512, 512), dtype=bool)
+    tracemalloc.start()
+    try:
+        euclidean_distance_map(mask)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak <= 1.5 * 4.3 * 2**20
 
 
 def test_zero_iff_background():

@@ -4,16 +4,23 @@ import tracemalloc
 
 import numpy as np
 import pytest
+from hypothesis import assume, given, settings
+from hypothesis import strategies as st
+from hypothesis.extra.numpy import arrays
 
 from shapesplit import (
     ArrivalField,
     ValidationError,
+    VoxelGraph,
     argmax_field,
     descend,
     euclidean_distance_map,
     fast_march,
+    march,
     subdivide_equal,
 )
+
+from shapesplit.eikonal import NEIGHBOR_STEPS_8
 
 from conftest import make_blob
 from oracles import sweep_arrival
@@ -218,6 +225,72 @@ def test_peak_memory_of_a_small_region_on_a_large_canvas():
     assert peak <= 1.5 * 16.1 * 2**20
 
 
+class TestVoxelGraph:
+    def test_row_major_ids_and_a_sentinel_for_every_neighbour_off_the_domain(self):
+        graph = VoxelGraph(np.array([[1, 0, 1], [1, 1, 0]]))
+        assert graph.size == 4
+        # W, E, N and S per id, id 4 being the sentinel
+        assert graph.neighbors.T.tolist() == [[4, 4, 4, 2], [4, 4, 4, 4], [4, 3, 0, 4], [2, 4, 4, 4], [4, 4, 4, 4]]
+        assert [graph.voxel(i) for i in range(4)] == [(0, 0), (2, 0), (0, 1), (1, 1)]
+        assert graph.spread(np.arange(4.0)).tolist() == [[0.0, np.inf, 1.0], [2.0, 3.0, np.inf]]
+
+    def test_the_table_is_built_from_the_domain_and_kept_read_only(self):
+        domain = np.array([[1, 0, 1], [1, 1, 0]], dtype=bool)
+        with pytest.raises(TypeError):
+            VoxelGraph(domain, np.zeros((4, 5), dtype=np.intp))
+        graph = VoxelGraph(domain)
+        domain[0, 1] = True  # the graph keeps its own copy
+        assert graph.size == 4 and not graph.domain[0, 1]
+        for array in (graph.domain, graph.neighbors):
+            with pytest.raises(ValueError):
+                array[0, 0] = 0
+
+    @pytest.mark.parametrize("domain", [np.ones(4, dtype=bool), np.ones((2, 2, 2), dtype=bool), "abc"])
+    def test_rejects_a_domain_that_is_not_a_2d_mask(self, domain):
+        with pytest.raises(ValidationError, match="^mask must be 2D"):
+            VoxelGraph(domain)
+
+    @pytest.mark.parametrize("index", [-1, 4, 1.5, True, None])
+    def test_voxel_rejects_what_is_not_an_id(self, index):
+        with pytest.raises(ValidationError, match="(is not a voxel id of a graph of 4 voxels|must be an integer)"):
+            VoxelGraph(np.array([[1, 0, 1], [1, 1, 0]])).voxel(index)
+
+    @pytest.mark.parametrize("seed", range(4))
+    def test_march_is_fast_march_on_the_graph(self, seed):
+        # holes and unreachable pieces included; the ids of a mask are those
+        # of its box on the grid
+        rng = np.random.default_rng(seed)
+        domain = np.zeros((24, 30), dtype=bool)
+        domain[3:20, 4:27] = rng.random((17, 23)) < 0.8
+        domain[22, 1] = True  # a voxel no front from the block reaches, nor one from it the block
+        pot = rng.uniform(0.2, 3.0, domain.shape)
+        graph = VoxelGraph(domain)
+        source = int(rng.integers(graph.size))
+        x, y = graph.voxel(source)
+        u = march(graph, pot[domain], source)
+        want = fast_march(pot, domain, (x, y)).values
+        assert np.array_equal(graph.spread(u), want)
+        assert u[source] == 0.0 and np.isinf(u).any()
+
+    @pytest.mark.parametrize("bad", [0.0, -1.0, np.inf, np.nan])
+    def test_march_rejects_a_potential_not_positive_and_finite(self, bad):
+        graph = VoxelGraph(np.ones((2, 3), dtype=bool))
+        pot = np.ones(6)
+        pot[4] = bad
+        with pytest.raises(ValidationError, match="^potential must be positive and finite on the domain$"):
+            march(graph, pot, 0)
+
+    @pytest.mark.parametrize("potential", [np.ones((2, 3)), np.ones(5), [[1.0], [1.0, 2.0]], "abc"])
+    def test_march_rejects_a_potential_not_of_the_graph(self, potential):
+        with pytest.raises(ValidationError, match="^potential must (hold the graph's 6 values|be an array of real numbers)"):
+            march(VoxelGraph(np.ones((2, 3), dtype=bool)), potential, 0)
+
+    @pytest.mark.parametrize("source", [-1, 6, 1.5, True, "0", None])
+    def test_march_rejects_a_source_that_is_not_an_id(self, source):
+        with pytest.raises(ValidationError):
+            march(VoxelGraph(np.ones((2, 3), dtype=bool)), np.ones(6), source)
+
+
 class TestArgmaxField:
     def test_strip(self):
         assert argmax_field(unit_strip()) == (4, 0)
@@ -296,6 +369,59 @@ class TestDescend:
         path = descend(ArrivalField(values=values, source=(0, 0)), (2, 2))
         dx, dy = order[first]
         assert path[:2] == [(2, 2), (2 + dx, 2 + dy)]
+
+    @settings(max_examples=300, deadline=None)
+    @given(
+        arrays(np.float64, st.tuples(st.integers(1, 7), st.integers(1, 7)),
+               elements=st.sampled_from([0.0, 1.0, 2.0, 2.0, 3.0, 5.0, np.inf])),
+        st.integers(0, 48),
+    )
+    def test_matches_a_bounds_checked_walk(self, values, at):
+        # small values with many ties, zeros off the source, +inf walls and
+        # stalls, and starts on every edge and corner
+        h, w = values.shape
+        x, y = at % w, at // w % h
+        assume(np.isfinite(values[y, x]))
+        want, stall = [(x, y)], None
+        while values[want[-1][1], want[-1][0]] != 0.0:
+            cx, cy = want[-1]
+            best, step = values[cy, cx], None
+            for dx, dy in NEIGHBOR_STEPS_8:
+                nx, ny = cx + dx, cy + dy
+                if 0 <= nx < w and 0 <= ny < h and values[ny, nx] < best:
+                    best, step = values[ny, nx], (nx, ny)
+            if step is None:
+                stall = (cx, cy)
+                break
+            want.append(step)
+        field = ArrivalField(values=values, source=(0, 0))
+        if stall is None:
+            assert descend(field, (x, y)) == want
+        else:
+            with pytest.raises(ValidationError) as info:
+                descend(field, (x, y))
+            assert str(info.value) == f"stuck at non-source local minimum {stall}; arrival field is not descendable"
+            assert info.value.voxel == stall
+
+    def test_peak_memory_on_a_large_canvas(self):
+        # The walk pads only the box of the field's finite voxels: the call
+        # peaks at 4.0 MiB here, the validation's boolean scans of the
+        # canvas, where a padded copy of the whole field would add 32 MiB.
+        blob = make_blob(1, size=96)
+        ys, xs = np.nonzero(blob)
+        wave = fast_march(np.ones(blob.shape), blob, (int(xs[0]), int(ys[0])))
+        values = np.full((2048, 2048), np.inf)
+        values[976:1072, 976:1072] = wave.values
+        field = ArrivalField(values, (int(xs[0]) + 976, int(ys[0]) + 976))
+        end = argmax_field(field)
+        tracemalloc.start()
+        try:
+            path = descend(field, end)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert path[0] == end and path[-1] == field.source
+        assert peak <= 1.5 * 4.0 * 2**20
 
     def test_stuck_at_local_minimum(self):
         values = np.full((2, 2), np.inf)

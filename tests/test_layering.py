@@ -41,8 +41,9 @@ def test_stage_does_not_import_the_composition(stage):
 
 
 def test_centerline_uses_only_public_wave_steps():
-    # The voxel graph is private to ``fast_march``: the pipeline composes the
-    # public wave steps and imports no underscore name from ``eikonal``.
+    # The pipeline composes the public wave steps, the shared voxel graph
+    # and its march among them, and imports no underscore name from
+    # ``eikonal``.
     private = set()
     for node in ast.walk(ast.parse((PACKAGE / "centerline.py").read_text())):
         if isinstance(node, ast.ImportFrom) and (node.module or "").split(".")[-1] == "eikonal":

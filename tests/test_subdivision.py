@@ -2,6 +2,9 @@ from collections import deque
 
 import numpy as np
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
+from hypothesis.extra.numpy import arrays
 
 from shapesplit import (
     BalanceError,
@@ -18,7 +21,7 @@ from shapesplit import (
 from shapesplit.eikonal import ArrivalField
 from shapesplit.grid import _box, _label_runs
 from shapesplit import subdivision
-from shapesplit.subdivision import _RING, _RING_TABLE, _band, _Border, _joins, _Parts, _strip_move, _tangent, _touch
+from shapesplit.subdivision import _RING, _RING_TABLE, _band, _Border, _counts, _joins, _Parts, _strip_move, _tangent
 
 from conftest import make_blob
 from oracles import adjacent_label_pairs, bit_quad_sum, euler_number, flood_fill_components
@@ -751,20 +754,45 @@ class TestRingTable:
             assert _RING_TABLE[pattern][1] == bit_quad_sum(on) - bit_quad_sum(off), pattern
 
 
-def assert_state_exact(parts: _Parts, k: int) -> None:
-    """The state equals a recount from scratch, and every box covers its part.
+def part_borders(lab, k) -> list[list[int]]:
+    """``[a][b]``: the 4-adjacent voxel pairs of parts a and b of ``lab``, a != b, by pair recount."""
+    touch = [[0] * (k + 1) for _ in range(k + 1)]
+    for (a, b), n in adjacent_label_pairs(lab).items():
+        if a and b and a != b:
+            touch[a][b] += n
+            touch[b][a] += n
+    return touch
 
-    ``flat`` is ``lab``'s own buffer, and ``_touch`` counts the borders of
-    ``lab`` as a pair-by-pair recount does.
+
+def assert_counts_exact(lab, k) -> None:
+    """``_counts`` of a padded label box equals a voxel-by-voxel recount, part by part."""
+    areas, quads, boxes, touch = _counts(lab, k)
+    recount = part_borders(lab, k)
+    assert [[touch[a][b] for b in range(1, k + 1) if b != a] for a in range(1, k + 1)] == [
+        [recount[a][b] for b in range(1, k + 1) if b != a] for a in range(1, k + 1)
+    ]
+    h, w = lab.shape
+    assert boxes[0] == [0, h - 1, 0, w - 1]
+    for j in range(1, k + 1):
+        region = lab == j
+        assert areas[j] == int(np.count_nonzero(region))
+        assert quads[j] == bit_quad_sum(region)
+        if region.any():
+            rows, cols = _box(region)
+            assert boxes[j] == [rows.start, rows.stop - 1, cols.start, cols.stop - 1]
+
+
+def assert_state_exact(parts: _Parts, k: int) -> None:
+    """What balancing reads of the state equals a recount from scratch, and every box covers its part.
+
+    ``flat`` is ``lab``'s own buffer, ``_counts`` counts ``lab`` as a
+    voxel-by-voxel recount does, and the quad sum and border of every part
+    are those of a recount. The background's entries are not read.
     """
     lab = parts.lab
     flat = np.asarray(parts.flat)
     assert np.shares_memory(flat, lab) and flat.tolist() == lab.ravel().tolist()
-    touch = np.zeros((k + 1, k + 1), dtype=np.int64)
-    for (a, b), n in adjacent_label_pairs(lab).items():
-        touch[a, b] += n
-        touch[b, a] += n
-    assert _touch(lab, k) == touch.tolist()
+    assert_counts_exact(lab, k)
     for j in range(1, k + 1):
         region = lab == j
         assert parts.quads[j] == bit_quad_sum(region)
@@ -780,6 +808,37 @@ def assert_state_exact(parts: _Parts, k: int) -> None:
             if other != j:
                 ys, xs = parts.border(j, other)
                 assert list(zip(ys.tolist(), xs.tolist())) == want
+
+
+def label_boxes(max_k=8, max_side=12):
+    """Hypothesis ``(lab, k)``: a label box with labels 0..k, k <= ``max_k``."""
+    return st.integers(1, max_k).flatmap(
+        lambda k: st.tuples(
+            arrays(np.int32, st.tuples(st.integers(1, max_side), st.integers(1, max_side)), elements=st.integers(0, k)),
+            st.just(k),
+        )
+    )
+
+
+def hand_box(rows: list[str]) -> np.ndarray:
+    """A label box from rows of digits."""
+    return np.array([[int(c) for c in row] for row in rows], dtype=np.int32)
+
+
+class TestCounts:
+    # parts with holes, parts that meet only at a corner, one-voxel parts,
+    # and rows with several runs of one part and of several
+    @settings(max_examples=300, deadline=None)
+    @given(label_boxes())
+    @example((hand_box(["111", "101", "111"]), 1))  # a hole
+    @example((hand_box(["12", "21"]), 2))  # two parts meeting only at corners, one voxel each
+    @example((hand_box(["1212121", "2121212", "1111111"]), 2))  # many runs a row
+    @example((hand_box(["3", "1", "2"]), 8))  # absent parts
+    @example((hand_box(["0"]), 3))  # nothing but background
+    @example((hand_box(["1110222", "1010202", "1113222"]), 3))  # holes, and parts that abut in a row
+    def test_match_a_voxel_by_voxel_recount(self, case):
+        lab, k = case
+        assert_counts_exact(np.pad(lab, 1), k)
 
 
 class TestParts:
