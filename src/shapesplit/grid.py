@@ -4,14 +4,18 @@ Coordinates are ``(x, y)`` pairs on a ``width x height`` grid; arrays are
 indexed ``[y, x]``. Everything outside the grid counts as background.
 Every connectivity question in the library (how many pieces a region has,
 which pieces a cut leaves, whether a part stays one piece around a hole,
-whether every part of a label map is one piece) is answered by the one
-run-based labeling in ``_label_runs``: of a mask, or of a label map at once, where
-runs join only runs of their own label. A cut band's pieces need no
-labeling: they are read off the rows of its line (``subdivision._band``),
-and the pipeline reads whether its region is one piece off the first
-wave's reach. The labeling's run finder, ``_runs``, and its pairs of runs
-that touch across rows, ``_touching``, also give balancing its counts
-(``subdivision._counts``) and the distance map its column runs.
+whether every part of a label map is one piece) is answered on row runs:
+``_runs`` finds them, ``_touching`` pairs the runs that touch across rows,
+and ``_union`` joins the pairs into pieces (He, Chao & Suzuki 2008). The
+labeling ``_label_runs`` is these three over a mask, or over a label map
+at once, where runs join only runs of their own label. The cut stage does
+not label: it finds the region's runs once, splits the runs left to label
+at each cut band and joins them (``subdivision._subdivide``), and
+balancing joins the runs its counts already paired (``subdivision._counts``)
+to check that each part is one piece. A cut band's own pieces are read
+off the rows of its line (``subdivision._band``), and the pipeline reads
+whether its region is one piece off the first wave's reach. The runs
+also give the distance map its column runs.
 """
 
 from __future__ import annotations
@@ -69,33 +73,51 @@ def _touching(starts: np.ndarray, ends: np.ndarray, pitch: int, slack: int) -> t
     return src, dst
 
 
+def _cells(starts: np.ndarray, ends: np.ndarray) -> np.ndarray:
+    """The flat positions of the voxels of the runs ``[starts, ends)``, run by run."""
+    lengths = ends - starts
+    return np.repeat(starts - np.cumsum(lengths) + lengths, lengths) + np.arange(lengths.sum())
+
+
+def _union(size: int, src: np.ndarray, dst: np.ndarray) -> np.ndarray:
+    """The root of each of ``size`` runs joined into pieces by the pairs ``(src, dst)``.
+
+    Pairs are those of ``_touching``, whose ``dst`` is one row up, so an
+    earlier run. The root of a piece is its first run. Every run is hooked
+    to a touching run above; then, in rounds, every pointer jumps to its
+    pointer's pointer, and the later root of each pair in two trees is
+    hooked to the earlier one, until every pair's runs point to one run
+    (Shiloach & Vishkin 1982). All runs of a piece then point to one run
+    of it, which points to itself: the root. Pointers all go to earlier
+    runs, so no tree is deeper than ``size - 1``, and ceil(log2 size) jumps
+    a round reach the roots, with no check after each jump.
+    """
+    parent = np.arange(size)
+    parent[src] = dst
+    jumps = (size - 1).bit_length()
+    while True:
+        for _ in range(jumps):
+            parent = parent[parent]
+        a, b = parent[src], parent[dst]
+        if np.array_equal(a, b):
+            return parent
+        np.minimum.at(parent, np.maximum(a, b), np.minimum(a, b))
+
+
 def _label_runs(values: np.ndarray, conn: int) -> tuple[np.ndarray, int]:
     """Label the ``conn``-connected pieces of equal nonzero value in a 2-D array.
 
     Run-based labeling over the whole array (He, Chao & Suzuki 2008): every
     maximal row run of one nonzero value is found at once, and a run joins
-    the runs of its value it touches on the row above. Numbering and return
-    value are those of ``connected_components``, with zeros as background.
+    the runs of its value it touches on the row above (``_union``).
+    Numbering and return value are those of ``connected_components``, with
+    zeros as background.
     """
     flat, pitch, starts, ends = _runs(values)
     # Keep the touching pairs (src, dst) of equal value.
     src, dst = _touching(starts, ends, pitch, 0 if conn == 4 else 1)
     same = flat[starts[src]] == flat[starts[dst]]
-    src, dst = src[same], dst[same]
-
-    # A forest whose pointers all go to earlier runs, so each root is the first
-    # run of its piece: hook every run to a touching run above, then jump every
-    # pointer to its root and hook the later root of each pair in two trees to
-    # the earlier one, until no pair is.
-    parent = np.arange(starts.size)
-    parent[src] = dst
-    while True:
-        while not np.array_equal(jumped := parent[parent], parent):
-            parent = jumped
-        a, b = parent[src], parent[dst]
-        if np.array_equal(a, b):
-            break
-        np.minimum.at(parent, np.maximum(a, b), np.minimum(a, b))
+    parent = _union(starts.size, src[same], dst[same])
 
     # Roots in run order are the components in order of first encounter, and
     # the nonzero voxels in row-major order are the runs in order.

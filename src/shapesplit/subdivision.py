@@ -15,11 +15,13 @@ tree, every part's area, Euler number, box and border lengths are counted
 afresh from the row runs of the labels (``_counts``), the runs of the one
 run finder that labeling uses (``grid._runs``), so a count costs the
 parts' runs, not a pass per quantity over their box.
-Connectivity is asked at the size of the question: each cut labels what is
-left to label on its bounding box, a band and its 4-pieces are read off the
-rows of its line, which hold one voxel or two side by side, a new part is
-one piece when every 4-piece of its band touches the piece behind the cut,
-and one labeling of the label map checks all parts as balancing starts.
+Connectivity is asked at the size of the question: the region's row runs
+are found once, and each cut attempt splits the runs left to label at its
+band's voxels and joins them into pieces (``grid._union``), so it pays for
+the runs, not for their box; a band and its 4-pieces are read off the rows
+of its line, which hold one voxel or two side by side; a new part is one
+piece when every 4-piece of its band touches the piece behind the cut; and
+as balancing starts, joining the runs of the first count checks all parts.
 
 Regions use 4-connectivity, paths and cut bands 8-connectivity; an
 8-connected band 4-separates the plane, which is what makes one-voxel cuts
@@ -33,7 +35,7 @@ from typing import NamedTuple
 import numpy as np
 
 from .exceptions import BalanceError, CutError, ValidationError
-from .grid import _box, _label_runs, _runs, _touching
+from .grid import _box, _cells, _label_runs, _runs, _touching, _union
 from .validation import (
     _as_int,
     check_labelmap,
@@ -137,19 +139,28 @@ def _band(region: np.ndarray, anchor, normal) -> tuple[tuple[np.ndarray, np.ndar
     return ((xs, ys) if flip else (ys, xs)), piece
 
 
-def _joins(band: tuple[np.ndarray, np.ndarray], piece: np.ndarray, comps: np.ndarray, behind: int) -> bool:
-    """Whether ``band``, with 4-pieces ``piece``, and the 4-piece ``comps == behind`` form one 4-piece.
+def _piece_of(starts: np.ndarray, ends: np.ndarray, root: np.ndarray, cells: np.ndarray) -> np.ndarray:
+    """The root run of the piece holding each flat position in ``cells``, -1 where no run does.
 
-    Two 4-pieces of the band never touch, so each reaches the rest of the
-    union only through the behind piece: the union is one piece iff every
-    4-piece of the band has a voxel 4-adjacent to it.
+    The runs ``[starts, ends)`` are nonempty and in order, ``root`` their
+    pieces' first runs (``grid._union``).
     """
-    h, w = comps.shape
-    ys, xs = band
-    step_x, step_y = np.array(_RING[::2]).T
-    px, py = xs[:, None] + step_x, ys[:, None] + step_y  # each voxel's 4-neighbors
-    inside = (0 <= px) & (px < w) & (0 <= py) & (py < h)
-    near = (inside & (comps[py.clip(0, h - 1), px.clip(0, w - 1)] == behind)).any(axis=1)
+    r = np.searchsorted(starts, cells, side="right") - 1
+    return np.where((r >= 0) & (cells < ends[r]), root[r], -1)
+
+
+def _joins(band: np.ndarray, piece: np.ndarray, pitch: int, runs: tuple, behind: int) -> bool:
+    """Whether ``band``, with 4-pieces ``piece``, and the 4-piece whose first run is ``behind`` form one 4-piece.
+
+    ``band`` holds flat positions of ``grid._runs``' layout, with row pitch
+    ``pitch``, and ``runs`` is ``(starts, ends, root)`` of the voxels around
+    it, as ``_piece_of`` takes them. Two 4-pieces of the band never touch,
+    so each reaches the rest of the union only through the behind piece:
+    the union is one piece iff every 4-piece of the band has a voxel
+    4-adjacent to it. Off the grid's sides lie the layout's zero columns,
+    and above and below it positions past the runs, so no run holds them.
+    """
+    near = (_piece_of(*runs, band[:, None] + (-pitch, -1, 1, pitch)) == behind).any(axis=1)
     return bool(np.bincount(piece[near], minlength=piece[-1] + 1).all())
 
 
@@ -195,46 +206,55 @@ def subdivide(mask, path, plan: list[Cut]) -> np.ndarray:
 
 def _subdivide(m: np.ndarray, pts: list[tuple[int, int]], indices: list[int]) -> np.ndarray:
     """``subdivide`` on a one-region mask, a path in it, and cut indices, all validated."""
-    # Each segment is cut on the box of the unlabeled voxels, writing through
-    # to the full map: row-major order on a box is the grid's, so pieces number
-    # alike. The unlabeled voxels only shrink, so each box lies in the last.
+    # The region's row runs are found once, on its box, and the runs left to
+    # label are carried from segment to segment. An attempt splits them at
+    # its band's voxels, each band voxel p ending a run at p and starting one
+    # at p + 1, drops the empty ones and joins the rest into pieces
+    # (grid._union). Only the chosen part is painted, and its runs and band
+    # dropped; the next segment keeps the other runs. Positions are flat, in
+    # grid._runs' layout, where ``free`` marks the unlabeled voxels and
+    # ``working`` views them on the box for ``_band``.
+    box = _box(m)
+    y0, x0 = box[0].start, box[1].start
+    free, pitch, starts, ends = _runs(m[box])
+    working = free[:-1].reshape(-1, pitch)[:, 1:]
+    flat = np.zeros(free.size, dtype=np.int32)
     path_x, path_y = np.array(pts).T
+    cells = (path_y - y0) * pitch + 1 + path_x - x0
     length = len(pts)
     k = len(indices) + 1
-    labels = np.zeros(m.shape, dtype=np.int32)
-    working = m.copy()
-    box = _box(m)
 
     for j, index in enumerate(indices, start=1):
-        work, y0, x0 = working[box], box[0].start, box[1].start
-        on = working[path_y, path_x]  # the unlabeled path voxels, all on the box
-        box_y, box_x = path_y[on] - y0, path_x[on] - x0
+        unlabeled = cells[free[cells]]  # the unlabeled path voxels, in path order
         chosen = fallback = None
         for shift in range(2 * length):  # 0, +1, -1, +2, -2, ...: nearest first, + before -
             i = index + (shift + 1) // 2 * (1 if shift % 2 else -1)
-            if not 1 <= i <= length - 2:
+            if not 1 <= i <= length - 2 or not free[cells[i]]:
                 continue
             ax, ay = pts[i]
-            if not working[ay, ax]:
+            (ys, xs), piece = _band(working, (ax - x0, ay - y0), _tangent(pts, i))
+            band = ys * pitch + 1 + xs
+            s, e = np.sort(np.concatenate((starts, band + 1))), np.sort(np.concatenate((ends, band)))
+            keep = s != e
+            s, e = s[keep], e[keep]
+            root = _union(s.size, *_touching(s, e, pitch, 0))
+            ncomp = np.count_nonzero(root == np.arange(root.size))
+            if ncomp < 2:
                 continue
-            band, piece = _band(work, (ax - x0, ay - y0), _tangent(pts, i))
-            rest = work.copy()
-            rest[band] = False
-            comps, ncomp = _label_runs(rest, 4)
-            # Components along the path, in path order, the first behind the
-            # cut; band voxels and labeled parts are off the working mask.
-            along = comps[box_y, box_x]
-            along = along[along > 0]
-            if ncomp < 2 or along.size == 0:
+            # Pieces along the path, in path order, the first behind the cut;
+            # band voxels and labeled parts lie in no run.
+            along = _piece_of(s, e, root, unlabeled)
+            along = along[along >= 0]
+            if along.size == 0:
                 continue
-            # Prefer a cut that (a) strands no component, since one holding no
+            # Prefer a cut that (a) strands no piece, since one holding no
             # centerline voxel can never be labeled by a later cut, and (b)
             # yields a 4-connected region once the band joins the behind side;
             # a diagonal band's tail can otherwise hang off the far side.
-            joins = np.bincount(along, minlength=ncomp + 1)[1:].all() and _joins(band, piece, comps, along[0])
+            behind = along[0]
+            joins = np.count_nonzero(np.bincount(along)) == ncomp and _joins(band, piece, pitch, (s, e, root), behind)
             if joins or fallback is None:
-                part = comps == along[0]
-                part[band] = True
+                part = s, e, root == behind, band
                 if joins:
                     chosen = part
                     break
@@ -243,12 +263,15 @@ def _subdivide(m: np.ndarray, pts: list[tuple[int, int]], indices: list[int]) ->
             chosen = fallback
         if chosen is None:
             raise CutError(f"cut failed at segment {j}")
-        labels[box][chosen] = j
-        work &= ~chosen
-        rows, cols = _box(work)
-        box = np.s_[y0 + rows.start : y0 + rows.stop, x0 + cols.start : x0 + cols.stop]
+        s, e, taken, band = chosen
+        done = np.concatenate((_cells(s[taken], e[taken]), band))
+        flat[done] = j
+        free[done] = False
+        starts, ends = s[~taken], e[~taken]
 
-    labels[box][working[box]] = k
+    flat[_cells(starts, ends)] = k
+    labels = np.zeros(m.shape, dtype=np.int32)
+    labels[box] = flat[:-1].reshape(-1, pitch)[:, 1:]
     return labels
 
 
@@ -278,7 +301,9 @@ def _ring_entry(pattern: int) -> tuple[int, int]:
 _RING_TABLE = [_ring_entry(pattern) for pattern in range(256)]
 
 
-def _counts(lab: np.ndarray, k: int) -> tuple[list[int], list[int], list[list[int]], list[list[int]]]:
+def _counts(
+    lab: np.ndarray, k: int, check: bool = False
+) -> tuple[list[int], list[int], list[list[int]], list[list[int]]]:
     """``(areas, quads, boxes, touch)`` of the parts 1..k of a padded label box, from its row runs.
 
     Per part: ``areas``; ``quads``, Gray's bit-quad sum, which is four times
@@ -289,7 +314,9 @@ def _counts(lab: np.ndarray, k: int) -> tuple[list[int], list[int], list[list[in
     b share across adjacent rows, and the runs of a and b that abut in a
     row. The background has no runs, so its entries are 0, but for its
     box, which the padding makes the whole box; a part not in ``lab`` has
-    zeros too, and a box that means nothing.
+    zeros too, and a box that means nothing. With ``check``, it first
+    raises BalanceError naming the lowest part in two 4-pieces or more,
+    joining the pairs of touching runs of one part (``grid._union``).
     """
     flat, pitch, starts, ends = _runs(lab)
     part = flat[starts]
@@ -297,6 +324,11 @@ def _counts(lab: np.ndarray, k: int) -> tuple[list[int], list[int], list[list[in
     areas = np.bincount(part, ends - starts, n).astype(int)
     src, dst = _touching(starts, ends, pitch, 0)
     same = part[src] == part[dst]
+    if check:
+        root = _union(part.size, src[same], dst[same])
+        split = np.flatnonzero(np.bincount(part[root == np.arange(part.size)]) > 1)
+        if split.size:
+            raise BalanceError(f"balance failed: region {split[0]} is not 4-connected")
     quads = 4 * (np.bincount(part, minlength=n) - np.bincount(part[src[same]], minlength=n))
     src, dst = src[~same], dst[~same]
     shared = np.minimum(ends[src] - pitch, ends[dst]) - np.maximum(starts[src] - pitch, starts[dst])
@@ -327,12 +359,13 @@ class _Parts:
     ``quads`` (the bit-quad sum of ``_ring_entry``, 4 iff no holes) and
     ``boxes`` ([y0, y1, x0, x1], exact at a count, then grown and never
     shrunk, so covering the part). ``areas`` and ``touch``, which only
-    building a tree reads, are exact at a count only.
+    building a tree reads, are exact at a count only. With ``check``, the
+    first count raises BalanceError if a part is not one piece.
     """
 
-    def __init__(self, lab: np.ndarray, k: int):
+    def __init__(self, lab: np.ndarray, k: int, check: bool = False):
         self.lab, self.flat, self.width, self.k = lab, memoryview(lab.reshape(-1)), lab.shape[1], k
-        self.count()
+        self.areas, self.quads, self.boxes, self.touch = _counts(lab, k, check)
 
     def count(self) -> None:
         """Count every part afresh from ``lab`` (``_counts``)."""
@@ -486,15 +519,6 @@ def _spanning_tree(touch: list[list[int]], k: int, blocked: set) -> tuple[list[i
     return order, parent
 
 
-def _check_pieces(lab: np.ndarray, k: int) -> None:
-    """Raise BalanceError naming the lowest label that is not one piece; ``lab`` is padded, holding 0..k."""
-    comps, count = _label_runs(lab, 4)
-    if count > k:
-        _, first = np.unique(comps, return_index=True)  # a voxel of each piece
-        j = int(np.flatnonzero(np.bincount(lab.ravel()[first[1:]]) > 1)[0])
-        raise BalanceError(f"balance failed: region {j} is not 4-connected")
-
-
 def balance_areas(labels, k: int, arrival) -> np.ndarray:
     """Equalize region areas by border exchanges, then trim the remainder.
 
@@ -524,8 +548,8 @@ def balance_areas(labels, k: int, arrival) -> np.ndarray:
     voxels each move puts on it and skips a voxel that could not leave
     until one of its 4-neighbors moves; the moves are those of a fresh
     border per strip with every candidate tested. Areas, Euler numbers,
-    boxes and border lengths are counted from the labels' row runs at the
-    start of each round.
+    boxes and border lengths are counted from the labels' row runs on entry
+    and after each round that blocks a pair.
 
     Raises
     ------
@@ -548,19 +572,20 @@ def balance_areas(labels, k: int, arrival) -> np.ndarray:
     # Work on the labels' bounding box padded with background, as the grid's
     # outside is; row-major order is kept.
     box = _box(lab)
-    parts = _Parts(np.pad(lab[box], 1), k)
+    parts = _Parts(np.pad(lab[box], 1), k, check=True)
     arr = np.pad(arr[box], 1)
-    _check_pieces(parts.lab, k)
 
     target, leftover = divmod(int(np.count_nonzero(lab)), k)
     goals = [0] + [target] * (k - 1) + [target + leftover]  # remainder parks on region k for the trim
 
-    # Each round counts the areas and borders, fixes a tree and its flows, then
-    # meets them strip by strip. With the tree fixed, every voxel moved lowers
-    # the flow left to move by one, so a round ends: with every goal met, or on
-    # a strip that moves nothing, which blocks a pair the tree used. No pair is
+    # Each round fixes a tree and its flows on the counted areas and borders,
+    # then meets them strip by strip. With the tree fixed, every voxel moved
+    # lowers the flow left to move by one, so a round ends: with every goal
+    # met, which ends the loop, or on a strip that moves nothing, which blocks
+    # a pair the tree used, and the parts are counted again. No pair is
     # blocked twice, so there are at most k(k - 1)/2 rebuilds, and the loop
-    # ends with no cap on moves.
+    # ends with no cap on moves. The trim reads only the quad sums and the
+    # covering boxes, which the moves keep.
     blocked = set()
     while parts.areas[1:] != goals[1:]:
         tree = _spanning_tree(parts.touch, k, blocked)
@@ -579,8 +604,10 @@ def balance_areas(labels, k: int, arrival) -> np.ndarray:
                 need -= moved
             if need:
                 blocked |= {(give, take), (take, give)}
+                parts.count()
                 break
-        parts.count()
+        else:
+            break
 
     # Trim: a strip from region k into the background, outermost first; the
     # padding puts the grid's outside in the background.

@@ -49,23 +49,25 @@ def flood_fill_components(mask, connectivity: int = 4) -> tuple[np.ndarray, int]
         steps = ((0, -1), (0, 1), (-1, 0), (1, 0))
     else:
         steps = ((0, -1), (0, 1), (-1, 0), (1, 0), (-1, -1), (1, -1), (-1, 1), (1, 1))
-    labels = np.zeros((h, w), dtype=np.int32)
+    # plain lists: reading a numpy scalar per neighbour costs more than the fill
+    inside = m.tolist()
+    labels = [[0] * w for _ in range(h)]
     count = 0
     for y in range(h):
         for x in range(w):
-            if not m[y, x] or labels[y, x]:
+            if not inside[y][x] or labels[y][x]:
                 continue
             count += 1
-            labels[y, x] = count
+            labels[y][x] = count
             queue = deque([(x, y)])
             while queue:
                 cx, cy = queue.popleft()
                 for dx, dy in steps:
                     px, py = cx + dx, cy + dy
-                    if 0 <= px < w and 0 <= py < h and m[py, px] and not labels[py, px]:
-                        labels[py, px] = count
+                    if 0 <= px < w and 0 <= py < h and inside[py][px] and not labels[py][px]:
+                        labels[py][px] = count
                         queue.append((px, py))
-    return labels, count
+    return np.array(labels, dtype=np.int32).reshape(h, w), count
 
 
 def euler_number(region) -> int:

@@ -13,6 +13,27 @@ _edge_runs[::2, :3] = True  # runs from the left edge
 _edge_runs[1::2, -3:] = True  # runs to the right edge
 _edge_runs[5] = True  # one run from edge to edge
 
+
+def double_spiral(n: int = 32, turns: float = 2.0, width: float = 0.8) -> np.ndarray:
+    """Two arms of an Archimedean spiral, half a turn apart and joined at its centre.
+
+    Each arm is the voxels within ``width`` of points close along its line.
+    In row-major order the arms' runs take turns as they wind in, so the
+    union's first hook round leaves the two arms apart and a second joins
+    them, at either connectivity.
+    """
+    t = np.tile(np.linspace(0, 2 * np.pi * turns, 2000), 2)
+    angle = t + np.repeat([0, np.pi], 2000)
+    r = (n / 2 - width - 1) * t / (2 * np.pi * turns)
+    y, x = (n - 1) / 2 + r * np.sin(angle), (n - 1) / 2 + r * np.cos(angle)
+    ys = np.round(y)[:, None] + (-1, -1, -1, 0, 0, 0, 1, 1, 1)
+    xs = np.round(x)[:, None] + (-1, 0, 1, -1, 0, 1, -1, 0, 1)
+    near = (ys - y[:, None]) ** 2 + (xs - x[:, None]) ** 2 <= width**2
+    mask = np.zeros((n, n), dtype=bool)
+    mask[ys[near].astype(int), xs[near].astype(int)] = True
+    return mask
+
+
 # Edge shapes for the oracle test, next to the random masks of seeds 0-4.
 EDGE_SHAPES = {
     "1x1": np.ones((1, 1), dtype=bool),
@@ -21,6 +42,7 @@ EDGE_SHAPES = {
     "filled": np.ones((12, 17), dtype=bool),
     "checkerboard": np.indices((9, 10)).sum(axis=0) % 2 == 0,
     "edge_runs": _edge_runs,
+    "spiral": double_spiral(),
 }
 
 

@@ -19,11 +19,11 @@ from shapesplit import (
     subdivide_equal,
 )
 from shapesplit.eikonal import ArrivalField
-from shapesplit.grid import _box, _label_runs
+from shapesplit.grid import _box, _label_runs, _runs
 from shapesplit import subdivision
 from shapesplit.subdivision import _RING, _RING_TABLE, _band, _Border, _counts, _joins, _Parts, _strip_move, _tangent
 
-from conftest import make_blob
+from conftest import make_blob, make_c_annulus
 from oracles import adjacent_label_pairs, bit_quad_sum, euler_number, flood_fill_components
 
 
@@ -244,14 +244,22 @@ class TestBandMask:
 
 
 def assert_join_check_matches(region, anchor, normal):
-    """``_joins`` against flood-filling the band with each piece it leaves; returns the outcomes."""
-    band, piece = _band(region, anchor, normal)
+    """``_joins`` against flood-filling the band with each piece it leaves; returns the outcomes.
+
+    ``_joins`` reads the band's neighbours off the row runs of what the band
+    leaves, each run given the first run of its flood-filled 4-piece.
+    """
+    (ys, xs), piece = _band(region, anchor, normal)
     mask = band_mask(region, anchor, normal)
     comps, count = flood_fill_components(region & ~mask, 4)
+    _, pitch, starts, ends = _runs(region & ~mask)
+    owner = comps.ravel()[starts // pitch * region.shape[1] + starts % pitch - 1]
+    _, first, inverse = np.unique(owner, return_index=True, return_inverse=True)
+    runs = starts, ends, first[inverse]
     outcomes = []
     for behind in range(1, count + 1):
         expect = flood_fill_components(mask | (comps == behind), 4)[1] == 1
-        assert _joins(band, piece, comps, behind) == expect, (anchor, normal, behind)
+        assert _joins(ys * pitch + 1 + xs, piece, pitch, runs, first[behind - 1]) == expect, (anchor, normal, behind)
         outcomes.append(expect)
     return outcomes
 
@@ -273,9 +281,7 @@ class TestJoins:
         assert sorted(zip(*band)) == [(0, 4), (1, 3), (2, 2), (3, 1), (4, 0)]  # (y, x)
         comps, count = flood_fill_components(region & ~band_mask(region, (2, 2), (1, 1)), 4)
         assert count == 2
-        near, far = comps[0, 0], comps[4, 4]
-        assert not _joins(band, piece, comps, near)
-        assert _joins(band, piece, comps, far)
+        assert (comps[0, 0], comps[4, 4]) == (1, 2)  # the near side, then the far side
         assert assert_join_check_matches(region, (2, 2), (1, 1)) == [False, True]
 
 
@@ -459,6 +465,120 @@ class TestShiftSearch:
         severing = [i for i in order if outcomes[i][0] is not None]
         assert severing[0] == plan[2].index + 6 and plan[2].index - 12 in severing
         assert np.array_equal(labels == 3, outcomes[severing[0]][0])
+
+
+def reference_subdivide(m, pts, indices, seen):
+    """The cut stage as it labelled each attempt's rest on its box, here by flood fill.
+
+    Every attempt copies what is left to label on its box, clears the band
+    and flood-fills the rest; the part is painted from that map, and the box
+    shrinks to what is left. ``seen`` collects the branches the attempts
+    reach: ``"shift"`` (a cut taken off its planned index), ``"fallback"``
+    (a segment that takes the first severing cut) and ``"three"`` (a band
+    that leaves three pieces or more).
+    """
+    path_x, path_y = np.array(pts).T
+    length, k = len(pts), len(indices) + 1
+    labels = np.zeros(m.shape, dtype=np.int32)
+    working = m.copy()
+    box = _box(m)
+    for j, index in enumerate(indices, start=1):
+        work, y0, x0 = working[box], box[0].start, box[1].start
+        on = working[path_y, path_x]
+        box_y, box_x = path_y[on] - y0, path_x[on] - x0
+        chosen = fallback = None
+        for shift, i in enumerate(nearest_first(index, length)):
+            ax, ay = pts[i]
+            if not working[ay, ax]:
+                continue
+            (ys, xs), piece = _band(work, (ax - x0, ay - y0), _tangent(pts, i))
+            rest = work.copy()
+            rest[ys, xs] = False
+            comps, ncomp = flood_fill_components(rest, 4)
+            along = comps[box_y, box_x]
+            along = along[along > 0]
+            if ncomp < 2 or along.size == 0:
+                continue
+            if ncomp > 2:
+                seen.add("three")
+            # every band piece needs a 4-neighbour in the piece behind the cut
+            h, w = rest.shape
+            near = np.zeros(ys.size, dtype=bool)
+            for dy, dx in ((-1, 0), (1, 0), (0, -1), (0, 1)):
+                py, px = ys + dy, xs + dx
+                inside = (0 <= py) & (py < h) & (0 <= px) & (px < w)
+                near[inside] |= comps[py[inside], px[inside]] == along[0]
+            strands = set(along.tolist()) != set(range(1, ncomp + 1))
+            joins = not strands and set(piece[near].tolist()) == set(piece.tolist())
+            if joins or fallback is None:
+                part = comps == along[0]
+                part[ys, xs] = True
+                if joins:
+                    chosen = part
+                    if shift:
+                        seen.add("shift")
+                    break
+                fallback = part
+        if chosen is None and fallback is not None:
+            chosen = fallback
+            seen.add("fallback")
+        if chosen is None:
+            raise CutError(f"cut failed at segment {j}")
+        labels[box][chosen] = j
+        work &= ~chosen
+        rows, cols = _box(work)
+        box = np.s_[y0 + rows.start : y0 + rows.stop, x0 + cols.start : x0 + cols.stop]
+    labels[box][working[box]] = k
+    return labels
+
+
+def cut_outcomes(mask, k):
+    """``(carried, reference, seen)``: the cut stage's labels or error message, both ways, on the mask's own path."""
+    pts, _ = extract_centerline(mask)
+    indices = [cut.index for cut in sample_cut_points(pts, k)]
+    outcomes, seen = [], set()
+    for cut_stage in (subdivision._subdivide, lambda *args: reference_subdivide(*args, seen)):
+        try:
+            outcomes.append(cut_stage(mask, pts, indices).tobytes())
+        except CutError as err:
+            outcomes.append(str(err))
+    return *outcomes, seen
+
+
+class TestCarriedRuns:
+    """The carried runs label every segment as flood-filling each attempt's rest did."""
+
+    @pytest.mark.parametrize("size, seeds", [(48, range(12)), (64, range(6)), (96, range(3))])
+    def test_blobs_match_a_flood_fill_per_attempt(self, size, seeds):
+        for seed in seeds:
+            mask = make_blob(seed, size=size)
+            for k in range(2, 9):
+                try:
+                    carried, reference, _ = cut_outcomes(mask, k)
+                except ValidationError:  # the path is too short for k
+                    continue
+                assert carried == reference, (size, seed, k)
+
+    @pytest.mark.parametrize("notch", [20.0, 5.0, 0.0])
+    def test_annuli_match_a_flood_fill_per_attempt(self, notch):
+        for k in (2, 4, 8, 16):
+            carried, reference, _ = cut_outcomes(make_c_annulus(notch_deg=notch), k)
+            assert carried == reference, k
+
+    @pytest.mark.parametrize(
+        "size, seed, k, branches, failed",
+        [
+            (48, 1, 4, {"shift"}, False),
+            (64, 20, 4, {"shift", "fallback", "three"}, False),
+            (96, 13, 7, {"shift", "fallback", "three"}, True),
+            (96, 8, 5, {"three"}, False),
+        ],
+    )
+    def test_the_shift_search_the_fallback_and_three_pieces_match(self, size, seed, k, branches, failed):
+        carried, reference, seen = cut_outcomes(make_blob(seed, size=size), k)
+        assert carried == reference
+        assert seen == branches
+        assert isinstance(carried, str) == failed
 
 
 class TestCutBandSeparation:
