@@ -96,20 +96,22 @@ def _run(m: np.ndarray, exponent, k: int | None = None, balance=True) -> _Record
 
     # Second wave: potential (d_max / d)^exponent is 1 at the deepest voxels
     # and large near the boundary, so arrival cost accumulates slowly along
-    # the middle of the region.
+    # the middle of the region. The march squares it (``march``), so 2 v**2
+    # must be finite too, or reached voxels could keep +inf; then every
+    # arrival is finite, as the region is one piece.
     d_max = float(depth[deepest])
     with np.errstate(over="ignore"):
         potential = (d_max / depth) ** exponent
-    if not np.isfinite(potential).all():
+        top = potential.max()
+        squares = np.isfinite(2.0 * top * top)
+    if not squares:
         raise ValidationError(
             f"exponent {exponent:g} is too large for this region: the second wave's "
             f"potential ({d_max:g} / d) ** {exponent:g} overflows"
         )
     u2 = march(graph, potential, end_a)
     del potential, depth  # free them before the stages below allocate
-    # The far end is the largest finite arrival: a potential too large to
-    # square can leave reached voxels at +inf (see ``march``).
-    end_b = int(np.argmax(np.where(np.isfinite(u2), u2, -1.0)))
+    end_b = int(np.argmax(u2))
     first = ArrivalField(graph.spread(u1), graph.voxel(deepest))
     second = ArrivalField(graph.spread(u2), graph.voxel(end_a))
 

@@ -9,10 +9,12 @@ whether every part of a label map is one piece) is answered on row runs:
 and ``_union`` joins the pairs into pieces (He, Chao & Suzuki 2008). The
 labeling ``_label_runs`` is these three over a mask, or over a label map
 at once, where runs join only runs of their own label. The cut stage does
-not label: it finds the region's runs once, splits the runs left to label
-at each cut band and joins them (``subdivision._subdivide``), and
-balancing joins the runs its counts already paired (``subdivision._counts``)
-to check that each part is one piece. A cut band's own pieces are read
+not label: it finds the region's runs once, joins them once with every
+planned band removed (``subdivision._at_once``), splits the runs left to
+label at each band it still has to try and joins them
+(``subdivision._subdivide``), and balancing joins the runs its counts
+already paired (``subdivision._counts``) to check that each part is one
+piece. A cut band's own pieces are read
 off the rows of its line (``subdivision._band``), and the pipeline reads
 whether its region is one piece off the first wave's reach. The runs
 also give the distance map its column runs.

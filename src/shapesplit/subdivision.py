@@ -16,12 +16,17 @@ afresh from the row runs of the labels (``_counts``), the runs of the one
 run finder that labeling uses (``grid._runs``), so a count costs the
 parts' runs, not a pass per quantity over their box.
 Connectivity is asked at the size of the question: the region's row runs
-are found once, and each cut attempt splits the runs left to label at its
-band's voxels and joins them into pieces (``grid._union``), so it pays for
-the runs, not for their box; a band and its 4-pieces are read off the rows
-of its line, which hold one voxel or two side by side; a new part is one
-piece when every 4-piece of its band touches the piece behind the cut; and
-as balancing starts, joining the runs of the first count checks all parts.
+are found once, and all planned cuts are labeled at once, by removing every
+planned band from them and joining what is left into pieces with one
+``grid._union``. As far as five conditions on those pieces and bands prove
+that the walk would take each cut where it is planned, the parts are read
+off the pieces (``_at_once``); the walk resumes at the first cut they do not
+prove, where each attempt splits the runs left to label at its band's
+voxels and joins them, so it pays for the runs, not for their box. A band
+and its 4-pieces are read off the rows of its line, which hold one voxel or
+two side by side; a new part is one piece when every 4-piece of its band
+touches the piece behind the cut; and as balancing starts, joining the runs
+of the first count checks all parts.
 
 Regions use 4-connectivity, paths and cut bands 8-connectivity; an
 8-connected band 4-separates the plane, which is what makes one-voxel cuts
@@ -30,6 +35,7 @@ sufficient.
 
 from __future__ import annotations
 
+from itertools import accumulate, chain
 from typing import NamedTuple
 
 import numpy as np
@@ -204,8 +210,155 @@ def subdivide(mask, path, plan: list[Cut]) -> np.ndarray:
     return _subdivide(m, pts, indices)
 
 
+def _at_once(flat: np.ndarray, starts: np.ndarray, ends: np.ndarray, pitch: int, cells: np.ndarray, bands: list):
+    """``(m, runs, done, rest)``: the first ``m`` cuts of a plan, labeled at once from the bands of all its cuts.
+
+    ``starts`` and ``ends`` are the region's runs, ``cells`` the flat
+    positions of its path and ``bands`` each planned cut's ``(band, piece)``
+    on the region, in ``grid._runs``' layout. All bands are removed and the
+    rest joined into pieces with one ``grid._union``; the pieces holding a
+    path voxel are numbered 1, 2, ... by their first path voxel. ``m`` is
+    the number of cuts for which ``_subdivide``'s conditions hold, part i
+    being piece i and band i, and their labels are painted into ``flat``,
+    with the last part's too when m is every cut. ``flat`` also holds each
+    later band voxel's lowest cut. ``runs`` are the runs left to label,
+    ``done`` the voxels of parts 1..m when cuts are left, and ``rest`` the
+    ``(starts, ends, root)`` of the pieces past part m when band m + 1 is the
+    last, which are the last cut's shift-0 attempt; else None.
+    """
+    k = len(bands) + 1
+    sizes, counts = [band.size for band, _ in bands], [int(piece[-1]) + 1 for _, piece in bands]
+    pos = np.concatenate([band for band, _ in bands])
+    owner = np.repeat(np.arange(1, k), sizes)  # a band voxel's cut
+    piece = np.concatenate([p for _, p in bands]) + np.repeat(list(accumulate([0, *counts[:-1]])), sizes)
+    cut_of = np.repeat(np.arange(1, k), counts)  # a band 4-piece's cut, by its number in ``piece``
+    fails = [k]  # per condition, the first cut that fails it
+
+    # (a) Cut i fails when its band meets another, and with cut 1 failing,
+    # nothing is labeled at once. A voxel in several bands keeps one of its
+    # cuts in ``flat``, the other entries clash, and then it takes the
+    # lowest; ``cut`` lists each band voxel once.
+    flat[pos] = owner
+    clash = flat[pos] != owner
+    cut = pos
+    if clash.any():
+        fails.append(int(min(owner[clash].min(), flat[pos[clash]].min())))
+        if fails[-1] == 1:
+            return 0, (starts, ends), pos[:0], None
+        np.minimum.at(flat, pos[clash], owner[clash].astype(flat.dtype))
+        cut = pos[~clash]
+    lowest = flat[cut]
+
+    s, e = np.sort(np.concatenate((starts, cut + 1))), np.sort(np.concatenate((ends, cut)))
+    keep = s != e
+    s, e = s[keep], e[keep]
+    root = _union(s.size, *_touching(s, e, pitch, 0))
+    # (b) The pieces holding a path voxel, numbered by their first; cut i
+    # needs a piece i + 1. ``number`` is 0 off the path, and at -1, where no
+    # run is.
+    along = _piece_of(s, e, root, cells)
+    on = np.flatnonzero(along >= 0)
+    first = np.full(s.size, cells.size)  # each root's first path index
+    np.minimum.at(first, along[on], on)
+    roots = np.argsort(first)[: np.count_nonzero(first < cells.size)]
+    first = first[roots]
+    number = np.zeros(s.size + 1, dtype=np.intp)
+    number[roots] = np.arange(1, roots.size + 1)
+    fails.append(roots.size)
+    # (c) No voxel of a later band lies on the path before piece i's first.
+    # A path voxel's part is its piece's number or its band's lowest cut;
+    # where parts never fall along the path, no cut fails (c).
+    part = number[along] + flat[cells]
+    if (part[1:] < part[:-1]).any():
+        before = np.concatenate(([0], np.maximum.accumulate(part)))[first]
+        late = np.flatnonzero(before > np.arange(1, roots.size + 1))
+        fails.append(int(late[0]) + 1 if late.size else k)
+    # (d) Every 4-piece of band i touches piece i; (e) piece i touches no
+    # later band.
+    near_root = _piece_of(s, e, root, pos[:, None] + (-pitch, -1, 1, pitch))
+    near = number[near_root]
+    touch = np.bincount(piece[(near == owner[:, None]).any(axis=1)], minlength=cut_of.size)
+    if not touch.all():
+        fails.append(int(cut_of[touch == 0].min()))
+    early = near[(near > 0) & (near < owner[:, None])]
+    if early.size:
+        fails.append(int(early.min()))
+    m = min(fails) - 1
+
+    # What is left after part m is in pieces that each hold a path voxel when
+    # every piece off the path touches a 4-piece b of a later band that
+    # reaches a piece numbered past m, and when every such b does; m is the
+    # most cuts with both. Past the last cut, no band is left.
+    reach = np.zeros(cut_of.size, dtype=np.intp)
+    np.maximum.at(reach, piece, near.max(axis=1))
+    off = (near == 0) & (near_root >= 0)
+    if off.any():
+        limit = np.zeros(s.size, dtype=np.intp)
+        np.maximum.at(limit, near_root[off], np.minimum(cut_of, reach)[piece[np.nonzero(off)[0]]])
+        m = min(m, int(limit[(number[:-1] == 0) & (root == np.arange(s.size))].min()) - 1)
+    if m < k - 1:
+        low = reach < cut_of
+        block = np.cumsum(np.bincount(reach[low], minlength=k) - np.bincount(cut_of[low], minlength=k))
+        proven = np.flatnonzero(block[1 : m + 1] == 0)
+        m = int(proven[-1]) + 1 if proven.size else 0
+
+    run_part = number[root]
+    if m == k - 1:  # every part at once; pieces past the last number are part k too
+        flat[_cells(s, e)] = np.repeat(np.minimum(run_part, k), e - s)
+        return m, (s[:0], e[:0]), pos[:0], None
+    taken = (run_part >= 1) & (run_part <= m)
+    s_taken, e_taken = s[taken], e[taken]
+    done = _cells(s_taken, e_taken)
+    flat[done] = np.repeat(run_part[taken], e_taken - s_taken)
+    done = np.concatenate((done, cut[lowest <= m]))
+    s, e = s[~taken], e[~taken]
+    rest = (s, e, (np.cumsum(~taken) - 1)[root[~taken]]) if m == k - 2 else None  # roots among the runs kept
+    # The runs left: those of the pieces past part m, and the voxels of later
+    # bands, joined where they meet.
+    later = cut[lowest > m]
+    s, e = np.sort(np.concatenate((s, later))), np.sort(np.concatenate((e, later + 1)))
+    meet = s[1:] == e[:-1]
+    return m, (s[np.concatenate(([True], ~meet))], e[np.concatenate((~meet, [True]))]), done, rest
+
+
 def _subdivide(m: np.ndarray, pts: list[tuple[int, int]], indices: list[int]) -> np.ndarray:
-    """``subdivide`` on a one-region mask, a path in it, and cut indices, all validated."""
+    """``subdivide`` on a one-region mask, a path in it, and cut indices, all validated.
+
+    The cuts are first labeled at once (``_at_once``): the bands
+    B_1..B_{k-1} of the planned cuts are found on the whole region and
+    removed together, what they leave is joined into pieces with one
+    ``grid._union``, and the pieces holding a path voxel are numbered 1, 2,
+    ... by their first path voxel. Let m be the most cuts such that every
+    cut i <= m meets five conditions: (a) B_i meets no other band; (b) there
+    is a piece i + 1; (c) no path voxel before piece i's first lies in a band
+    B_j with j > i; (d) every 4-piece of B_i touches piece i; (e) piece i
+    touches no band B_j with j > i; and such that every 4-piece of a band
+    B_j with j > m touches a piece numbered past m, and every piece off the
+    path touches such a 4-piece. Then the shift search takes shift 0 at every
+    cut i <= m, with piece i and B_i as part i; those parts are painted, and
+    the search resumes at cut m + 1.
+
+    By induction on i <= m, with W_i what parts 1..i-1 leave: B_i misses the
+    pieces and, by (a), the earlier bands, so it lies in W_i, and the band on
+    W_i, the anchor's 8-piece of the line within W_i, is B_i, which is that
+    8-piece within the whole region. Removing it leaves the pieces numbered
+    i or more, the pieces off the path, and the later bands, which (a) keeps
+    whole. Piece i is a component of that, as its other 4-neighbors lie in
+    B_1..B_i (e), and piece i + 1 lies in another (b), so the cut severs. The
+    first path voxel left is in piece i: one before piece i's first lies in
+    a lower piece or in a band, by (c) one of B_1..B_i. Every other component
+    is one of W_{i+1}, which is W_{m+1} and parts i+1..m, each one 4-piece
+    (d) holding its piece's path voxels; a component holding none of those
+    parts is one of W_{m+1}, whose pieces and bands each reach a piece
+    numbered past m by the last two conditions. So no piece is stranded,
+    B_i joins piece i by (d), and shift 0 is taken.
+
+    Runs are a function of their voxels, so the search resumes on the runs
+    of W_{m+1}: those of the pieces past part m, joined with the voxels of
+    the later bands. Its shift-0 attempt takes the planned band while what
+    is left holds all of it, and at the last cut, when m is one short, the
+    pieces of the labeling at once, which are what that band leaves.
+    """
     # The region's row runs are found once, on its box, and the runs left to
     # label are carried from segment to segment. An attempt splits them at
     # its band's voxels, each band voxel p ending a run at p and starting one
@@ -219,25 +372,41 @@ def _subdivide(m: np.ndarray, pts: list[tuple[int, int]], indices: list[int]) ->
     free, pitch, starts, ends = _runs(m[box])
     working = free[:-1].reshape(-1, pitch)[:, 1:]
     flat = np.zeros(free.size, dtype=np.int32)
-    path_x, path_y = np.array(pts).T
-    cells = (path_y - y0) * pitch + 1 + path_x - x0
     length = len(pts)
+    path_x, path_y = np.fromiter(chain.from_iterable(pts), np.intp, 2 * length).reshape(-1, 2).T
+    cells = (path_y - y0) * pitch + 1 + path_x - x0
     k = len(indices) + 1
+    planned = []
+    for index in indices:
+        (ys, xs), piece = _band(working, (path_x[index] - x0, path_y[index] - y0), _tangent(pts, index))
+        planned.append((ys * pitch + 1 + xs, piece))
 
-    for j, index in enumerate(indices, start=1):
+    proven, rest = 0, None
+    if planned:
+        proven, (starts, ends), done, rest = _at_once(flat, starts, ends, pitch, cells, planned)
+        free[done] = False
+
+    for j in range(proven + 1, k):
+        index = indices[j - 1]
         unlabeled = cells[free[cells]]  # the unlabeled path voxels, in path order
         chosen = fallback = None
         for shift in range(2 * length):  # 0, +1, -1, +2, -2, ...: nearest first, + before -
             i = index + (shift + 1) // 2 * (1 if shift % 2 else -1)
             if not 1 <= i <= length - 2 or not free[cells[i]]:
                 continue
-            ax, ay = pts[i]
-            (ys, xs), piece = _band(working, (ax - x0, ay - y0), _tangent(pts, i))
-            band = ys * pitch + 1 + xs
-            s, e = np.sort(np.concatenate((starts, band + 1))), np.sort(np.concatenate((ends, band)))
-            keep = s != e
-            s, e = s[keep], e[keep]
-            root = _union(s.size, *_touching(s, e, pitch, 0))
+            band, piece = planned[j - 1]
+            kept = not shift and free[band].all()  # the planned band, when what is left holds it
+            if not kept:
+                ax, ay = pts[i]
+                (ys, xs), piece = _band(working, (ax - x0, ay - y0), _tangent(pts, i))
+                band = ys * pitch + 1 + xs
+            if kept and rest is not None:
+                s, e, root = rest
+            else:
+                s, e = np.sort(np.concatenate((starts, band + 1))), np.sort(np.concatenate((ends, band)))
+                keep = s != e
+                s, e = s[keep], e[keep]
+                root = _union(s.size, *_touching(s, e, pitch, 0))
             ncomp = np.count_nonzero(root == np.arange(root.size))
             if ncomp < 2:
                 continue

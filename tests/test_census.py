@@ -1,4 +1,4 @@
-"""The census: how many calls of three fixed corpora give a valid partition.
+"""The census: how many calls of four fixed corpora give a valid partition.
 
 Every call either returns a valid partition, checked here by flood fill
 with no library code (labels 1..k, floor(A / k) voxels each, every part
@@ -60,6 +60,15 @@ def blob_cases():
                 yield f"blob{size}.{seed}/{k}", mask, k
 
 
+def roi_cases():
+    """The benchmark's roi_files shapes: blobs 0-24 at 48 px and 0-7 at 96 px, at k = 2, 5 and 8: 99 calls."""
+    for size, seeds in ((48, range(25)), (96, range(8))):
+        for seed in seeds:
+            mask = make_blob(seed, size=size)
+            for k in (2, 5, 8):
+                yield f"blob{size}.{seed}/{k}", mask, k
+
+
 def annulus_cases():
     """The 128² annulus with notches of 20°, 5° and 0°, at k = 2, 4, 8 and 16: 12 calls."""
     for notch in (20.0, 5.0, 0.0):
@@ -78,7 +87,7 @@ def square_cases():
 
 @pytest.mark.parametrize(
     "corpus, calls, floor",
-    [(blob_cases, 468, 421), (annulus_cases, 12, 10), (square_cases, 21, 21)],
+    [(blob_cases, 468, 421), (roi_cases, 99, 90), (annulus_cases, 12, 10), (square_cases, 21, 21)],
 )
 def test_successes_reach_the_floor(corpus, calls, floor):
     outcomes = census(corpus())

@@ -581,6 +581,163 @@ class TestCarriedRuns:
         assert isinstance(carried, str) == failed
 
 
+def stage_outcome(cut_stage, mask, pts, indices):
+    """A cut stage's labels, as bytes, or its CutError's message."""
+    try:
+        return cut_stage(mask, pts, indices).tobytes()
+    except CutError as err:
+        return str(err)
+
+
+def both_outcomes(mask, pts, indices):
+    """``(carried, reference)``: ``_subdivide``'s outcome and the flood fill per attempt's."""
+    return (
+        stage_outcome(subdivision._subdivide, mask, pts, indices),
+        stage_outcome(lambda *args: reference_subdivide(*args, set()), mask, pts, indices),
+    )
+
+
+def four_near(mask):
+    """The voxels 4-adjacent to ``mask``."""
+    pad = np.pad(mask, 1)
+    return pad[:-2, 1:-1] | pad[2:, 1:-1] | pad[1:-1, :-2] | pad[1:-1, 2:]
+
+
+def at_once_failures(mask, pts, indices):
+    """The first cut failing each of ``_subdivide``'s conditions (a)-(e), by flood fill; k where none does.
+
+    The bands are those of the planned cuts on the whole mask; the pieces
+    are the 4-pieces of what they leave, those holding a path voxel numbered
+    1, 2, ... by their first. A band voxel's part is its lowest cut, a piece
+    voxel's its piece's number.
+    """
+    k = len(indices) + 1
+    bands = [band_mask(mask, pts[i], _tangent(pts, i)) for i in indices]
+    covers = np.sum(bands, axis=0)
+    comps, _ = flood_fill_components(mask & (covers == 0), 4)
+    order = list(dict.fromkeys(c for c in (comps[y, x] for x, y in pts) if c))
+    number = np.zeros(comps.max() + 1, dtype=int)
+    number[order] = np.arange(1, len(order) + 1)
+    pieces = number[comps]
+    lowest = np.where(covers > 0, np.argmax(bands, axis=0) + 1, 0)
+    part = [int(pieces[y, x] or lowest[y, x]) for x, y in pts]
+    firsts = [next(t for t, (x, y) in enumerate(pts) if pieces[y, x] == n) for n in range(1, len(order) + 1)]
+
+    def strays(j, band):
+        """Whether a 4-piece of ``band`` touches no voxel of piece j."""
+        bits, count = flood_fill_components(band, 4)
+        return any(not (four_near(bits == b) & (pieces == j)).any() for b in range(1, count + 1))
+
+    return {
+        "a": min([j for j, band in enumerate(bands, 1) if (band & (covers > 1)).any()], default=k),
+        "b": min(len(order), k),
+        "c": min([n for n, t in enumerate(firsts, 1) if max(part[:t], default=0) > n], default=k),
+        "d": min([j for j, band in enumerate(bands, 1) if strays(j, band)], default=k),
+        "e": min([n for n in range(1, len(order) + 1) if any((four_near(pieces == n) & band).any() for band in bands[n:])], default=k),
+    }
+
+
+def random_cut_case(seed):
+    """A random 4-connected region up to 15², a random simple 8-path in it, and random cut indices."""
+    rng = np.random.default_rng(seed)
+    while True:
+        h, w = (int(v) for v in rng.integers(4, 16, size=2))
+        labels, count = flood_fill_components(rng.random((h, w)) < rng.uniform(0.6, 1.0), 4)
+        if count == 0:
+            continue
+        region = labels == np.argmax(np.bincount(labels.ravel())[1:]) + 1
+        ys, xs = np.nonzero(region)
+        pick = rng.integers(ys.size)
+        pts = [(int(xs[pick]), int(ys[pick]))]
+        for _ in range(int(rng.integers(4, 60))):
+            x, y = pts[-1]
+            steps = [(x + dx, y + dy) for dy in (-1, 0, 1) for dx in (-1, 0, 1) if dx or dy]
+            steps = [(a, b) for a, b in steps if 0 <= a < w and 0 <= b < h and region[b, a] and (a, b) not in pts]
+            if not steps:
+                break
+            pts.append(steps[rng.integers(len(steps))])
+        if len(pts) >= 5:
+            k = int(rng.integers(2, min(6, (len(pts) - 1) // 2) + 1))
+            return region, pts, sorted(rng.choice(np.arange(1, len(pts) - 1), size=k - 1, replace=False).tolist())
+
+
+def hand_mask(rows: list[str]) -> np.ndarray:
+    """A mask from rows of ``#`` (region) and ``.``."""
+    return np.array([[c == "#" for c in row] for row in rows])
+
+
+class TestAtOnce:
+    """Labeling all planned cuts at once gives what the shift search gives, and hands it the cut that it cannot prove.
+
+    Each hand case is the smallest found, on random regions, paths and cuts,
+    where a copy of ``_subdivide`` without that one check gives other labels.
+    """
+
+    CONDITIONS = {
+        "a": (["#.##", "###.", "###.", ".#.."], [(1, 3), (0, 2), (1, 2), (0, 1), (1, 1), (2, 2), (2, 1), (3, 0), (2, 0)], [1, 5]),
+        "b": (["####", ".#.#", "###."], [(1, 1), (2, 2), (3, 1), (2, 0), (1, 0), (0, 0)], [1]),
+        "c": (["##.#", ".###", "..#.", "..##", "...#"], [(2, 2), (1, 1), (0, 0), (1, 0), (2, 1), (3, 0), (3, 1)], [3, 4]),
+        "d": (["###..", "#####", "##.##"], [(3, 1), (2, 1), (3, 2), (4, 2), (4, 1)], [3]),
+        "e": (["..##", "####", "####", ".###"], [(0, 2), (0, 1), (1, 2), (2, 2), (2, 3), (3, 2), (3, 3)], [1, 3]),
+    }
+
+    @pytest.mark.parametrize("condition", sorted(CONDITIONS))
+    def test_a_failing_condition_leaves_the_cut_to_the_shift_search(self, condition):
+        rows, pts, indices = self.CONDITIONS[condition]
+        mask = hand_mask(rows)
+        assert at_once_failures(mask, pts, indices)[condition] < len(indices) + 1
+        carried, reference = both_outcomes(mask, pts, indices)
+        assert carried == reference
+
+    @pytest.mark.parametrize(
+        "rows, pts, indices",
+        [
+            # a piece that holds no path voxel
+            (["###", ".#.", "###", "##."], [(0, 2), (1, 1), (2, 2), (1, 3), (0, 3), (1, 2)], [1]),
+            # a 4-piece of a later band that reaches no piece past the proven cuts
+            (
+                [".#..#####.#", "#######.###", ".#####..#.#", "#.###......", "#####.###.#", "###########",
+                 "##.#..##.#.", "#....######", ".....###.#."],
+                [(5, 2), (5, 1), (5, 0), (6, 0), (7, 0), (8, 0), (8, 1), (9, 1), (10, 2), (10, 1), (10, 0)],
+                [6, 7],
+            ),
+        ],
+    )
+    def test_what_is_left_must_reach_the_path(self, rows, pts, indices):
+        carried, reference = both_outcomes(hand_mask(rows), pts, indices)
+        assert carried == reference
+
+    def test_every_condition_fails_on_some_blob(self):
+        seen = set()
+        for size, seed, k in ((48, 1, 4), (48, 2, 4), (64, 20, 4), (96, 13, 7)):
+            mask = make_blob(seed, size=size)
+            pts, _ = extract_centerline(mask)
+            indices = [cut.index for cut in sample_cut_points(pts, k)]
+            seen |= {condition for condition, cut in at_once_failures(mask, pts, indices).items() if cut < k}
+            carried, reference = both_outcomes(mask, pts, indices)
+            assert carried == reference, (size, seed, k)
+        assert seen == set("abcde")
+
+    @settings(max_examples=300, deadline=None)
+    @given(st.integers(0, 2**32 - 1))
+    def test_random_paths_and_cuts_match_a_flood_fill_per_attempt(self, seed):
+        mask, pts, indices = random_cut_case(seed)
+        carried, reference = both_outcomes(mask, pts, indices)
+        assert carried == reference
+
+    @settings(max_examples=60, deadline=None)
+    @given(st.integers(0, 10_000), st.sampled_from([48, 64]), st.integers(2, 8))
+    def test_drawn_blobs_match_a_flood_fill_per_attempt(self, seed, size, k):
+        mask = make_blob(seed, size=size)
+        pts, _ = extract_centerline(mask)
+        try:
+            indices = [cut.index for cut in sample_cut_points(pts, k)]
+        except ValidationError:  # the path is too short for k
+            return
+        carried, reference = both_outcomes(mask, pts, indices)
+        assert carried == reference
+
+
 class TestCutBandSeparation:
     @pytest.mark.parametrize("seed", range(6))
     def test_band_splits_convex_mask_in_two(self, seed):
