@@ -13,7 +13,7 @@ underlying operations are plain functions and can be composed directly.
 
 from .centerline import extract_centerline, subdivide_equal
 from .distance import euclidean_distance_map
-from .eikonal import ArrivalField, VoxelGraph, argmax_field, descend, fast_march, march
+from .eikonal import ArrivalField, VoxelGraph, argmax_field, descend, double_sweep, fast_march, march
 from .estimators import CenterlineExtractor, EqualAreaSubdivider
 from .exceptions import (
     AlgorithmError,
@@ -61,6 +61,7 @@ __all__ = [
     "balance_areas",
     "connected_components",
     "descend",
+    "double_sweep",
     "euclidean_distance_map",
     "extract_centerline",
     "fast_march",

@@ -11,9 +11,13 @@ them and balances the part areas (``subdivision``). ``_run`` composes the
 stages once; ``extract_centerline``, ``subdivide_equal`` and the estimators
 are views of its record. Both waves march on one voxel graph of the region
 (``eikonal.VoxelGraph``), so their potentials, arrival times and ends are
-arrays and argmaxes of the region's n voxels, and the first wave's reach
-tells whether the region is one piece; only a region in pieces is labeled,
-to name how many.
+arrays and argmaxes of the region's n voxels. The graph's breadth-first
+layers from the deepest voxel tell whether the region is one piece (only
+a region in pieces is labeled, to name how many), and their far end
+forecasts the first wave's: both waves march in the same rounds
+(``eikonal.double_sweep``), the second from the forecast, restarted from
+the first wave's true far end when that lies elsewhere, so the fields are
+those of two marches one after the other.
 
 Every stage runs on the region's bounding box, cropped from the grid once,
 so a small region on a large canvas costs what the region costs. This is
@@ -31,7 +35,7 @@ from typing import NamedTuple
 import numpy as np
 
 from .distance import euclidean_distance_map
-from .eikonal import ArrivalField, VoxelGraph, descend, march
+from .eikonal import ArrivalField, VoxelGraph, descend, double_sweep
 from .exceptions import AlgorithmError, ValidationError
 from .grid import _box, _label_runs
 from .subdivision import Cut, _plan_cuts, _subdivide, balance_areas
@@ -84,21 +88,25 @@ def _run(m: np.ndarray, exponent, k: int | None = None, balance=True) -> _Record
 
     # Both waves march on one voxel graph of the region, with the potentials
     # and arrival times as its n values in row-major order; argmax breaks
-    # ties row-major, as on the grid. The deepest voxel seeds the first wave,
-    # which reaches every voxel iff the region is one 4-piece.
+    # ties row-major, as on the grid. The deepest voxel seeds the first wave.
+    # Its breadth-first layers reach every voxel iff the region is one
+    # 4-piece, and their far end forecasts the first wave's, end A.
     graph = VoxelGraph(m)
     depth = dist[m]
     deepest = int(np.argmax(depth))
-    u1 = march(graph, np.ones(graph.size), deepest)
-    if not np.isfinite(u1).all():
+    layers = graph.layers(deepest)
+    if (layers < 0).any():
         raise ValidationError(f"region not connected ({_label_runs(m, 4)[1]} components)")
-    end_a = int(np.argmax(u1))
+    forecast = int(np.argmax(layers))
+    del layers
 
     # Second wave: potential (d_max / d)^exponent is 1 at the deepest voxels
     # and large near the boundary, so arrival cost accumulates slowly along
     # the middle of the region. The march squares it (``march``), so 2 v**2
     # must be finite too, or reached voxels could keep +inf; then every
-    # arrival is finite, as the region is one piece.
+    # arrival is finite, as the region is one piece. Both waves march in the
+    # same rounds, the second from the forecast, and again from end A only
+    # if the first wave ends elsewhere.
     d_max = float(depth[deepest])
     with np.errstate(over="ignore"):
         potential = (d_max / depth) ** exponent
@@ -109,8 +117,10 @@ def _run(m: np.ndarray, exponent, k: int | None = None, balance=True) -> _Record
             f"exponent {exponent:g} is too large for this region: the second wave's "
             f"potential ({d_max:g} / d) ** {exponent:g} overflows"
         )
-    u2 = march(graph, potential, end_a)
-    del potential, depth  # free them before the stages below allocate
+    del depth
+    u1, u2 = double_sweep(graph, potential, deepest, forecast)
+    del potential  # free it before the stages below allocate
+    end_a = int(np.argmax(u1))
     end_b = int(np.argmax(u2))
     first = ArrivalField(graph.spread(u1), graph.voxel(deepest))
     second = ArrivalField(graph.spread(u2), graph.voxel(end_a))

@@ -28,6 +28,18 @@ through the same operations that a solver on the grid itself would, and
 reads only the previous round's values, so neither the numbering nor the
 order of the active list moves a bit of the result.
 
+``double_sweep`` marches both waves of the pipeline's double sweep in the
+same rounds: a unit wave from a source, and a second wave from the unit
+wave's far end. The second cannot wait for that end, because a round costs
+about as much with a few active voxels as with a few dozen, so it starts
+at a forecast, on a second copy of the graph that shares no edge with the
+first, and starts again, in the same loop of rounds, only if the first
+wave settles with its far end elsewhere. A call then pays for about the
+rounds of the longer wave, not for both, and both waves' values are those
+of two marches, bit for bit. ``VoxelGraph.layers`` gives the forecast: the
+breadth-first layers, whose far end is usually the unit wave's, and whose
+depth bounds the rounds in which the unit wave cannot yet have settled.
+
 A round allocates only what its active list needs. It de-duplicates the
 neighbour list by stamping each id with its position in the list, read
 from one order buffer ``0, 1, 2, ...`` that grows on demand to twice the
@@ -118,6 +130,25 @@ class VoxelGraph:
             raise ValidationError(f"{out} is not a voxel id of a graph of {self.size} voxels")
         return out
 
+    def layers(self, source: int) -> np.ndarray:
+        """Breadth-first layers from voxel ``source``, in id order: each voxel's fewest 4-steps from it, -1 where unreached."""
+        src = self._id(source)
+        n, nbr = self.size, self.neighbors
+        out = np.full(n + 1, -1, dtype=np.intp)
+        out[src] = out[n] = 0  # the sentinel counts as reached, so no layer takes it
+        stamp = np.empty(n + 1, dtype=np.intp)
+        front, layer = np.array([src]), 0
+        while front.size:
+            layer += 1
+            near = nbr.take(front, axis=1).ravel()
+            near = near[out.take(near) < 0]
+            # De-duplicate as ``march`` does: keep each voxel where its last write landed.
+            rank = np.arange(near.size)
+            stamp[near] = rank
+            front = near[stamp.take(near) == rank]
+            out[front] = layer
+        return out[:-1]
+
     def spread(self, values: np.ndarray) -> np.ndarray:
         """Values in id order as a field on the domain's grid, +inf off the domain."""
         out = np.full(self.domain.shape, _INF)
@@ -125,20 +156,8 @@ class VoxelGraph:
         return out
 
 
-def march(graph: VoxelGraph, potential, source: int) -> np.ndarray:
-    """Arrival times, in id order, of a front grown from voxel ``source`` over ``graph``.
-
-    ``potential`` holds the graph's n values in id order, each positive and
-    finite: the cost per unit length of front travel (small = fast). Each
-    round recomputes, with array operations, the upwind update of every
-    voxel next to one that improved in the round before, and writes the
-    values that improve. Updates are computed from the previous round's
-    values only, so the result does not depend on the order of the active
-    list and is bit-identical across runs. A voxel the front cannot reach
-    keeps +inf, and so can one whose potential is too large to square
-    (above about 1e154): where both of its axes are reached, its two-sided
-    root overflows to +inf, which never improves.
-    """
+def _potential(graph: VoxelGraph, potential) -> np.ndarray:
+    """``potential`` as float64, checked to hold the graph's n values, each positive and finite."""
     n = graph.size
     try:
         v = np.asarray(potential, dtype=np.float64)
@@ -148,19 +167,22 @@ def march(graph: VoxelGraph, potential, source: int) -> np.ndarray:
         raise ValidationError(f"potential must hold the graph's {n} values, got shape {v.shape}")
     if not np.isfinite(v).all() or (v <= 0).any():
         raise ValidationError("potential must be positive and finite on the domain")
-    src = graph._id(source)
-    # v and 2 v**2 per voxel id. The sentinel reads them clipped, as the
-    # last voxel's: its update is NaN whatever its potential, so it never
-    # improves. No output grid is held during the march, where the memory
-    # peaks.
-    nbr = graph.neighbors
-    u = np.full(n + 1, _INF)
-    u[src] = 0.0
+    return v
+
+
+def _rounds(nbr: np.ndarray, pot: np.ndarray, u: np.ndarray, changed: np.ndarray, after=None) -> None:
+    """The Fast Iterative Method's rounds on ``u`` in place, from the ids in ``changed``, until one improves nothing.
+
+    ``nbr`` is a neighbour table whose sentinels are their own neighbours
+    and hold +inf in ``u``; ``pot`` holds a potential per voxel id, and an
+    id past its end reads its last value. ``after``, if given, sees
+    the ids each round improved and returns the ids the next round starts
+    from.
+    """
     stamp = np.empty(u.size, dtype=np.intp)
     order = np.arange(0)
-    changed = np.array([src])
     with np.errstate(invalid="ignore", over="ignore"):
-        pot, pot2 = v, 2.0 * v * v
+        pot2 = 2.0 * pot * pot
         while changed.size:
             near = nbr.take(changed, axis=1).ravel()
             # De-duplicate: keep each voxel where its last write landed.
@@ -178,13 +200,95 @@ def march(graph: VoxelGraph, potential, source: int) -> np.ndarray:
             # Largest root of (U-a)+^2 + (U-b)+^2 = v^2, or the one-sided value
             # min(a, b) + v when the roots are invalid (also for an unreached axis).
             # The source never improves (every update is positive), nor does
-            # the sentinel (its update is NaN).
+            # a sentinel (its update is NaN).
             root = 0.5 * (a + b + np.sqrt(v2 - gap * gap))
             new = np.where(gap >= v, np.minimum(a, b) + v, root)
             better = new < u.take(active)
             changed = active[better]
             u[changed] = new[better]
+            if after is not None:
+                changed = after(changed)
+
+
+def march(graph: VoxelGraph, potential, source: int) -> np.ndarray:
+    """Arrival times, in id order, of a front grown from voxel ``source`` over ``graph``.
+
+    ``potential`` holds the graph's n values in id order, each positive and
+    finite: the cost per unit length of front travel (small = fast). Each
+    round recomputes, with array operations, the upwind update of every
+    voxel next to one that improved in the round before, and writes the
+    values that improve. Updates are computed from the previous round's
+    values only, so the result does not depend on the order of the active
+    list and is bit-identical across runs. A voxel the front cannot reach
+    keeps +inf, and so can one whose potential is too large to square
+    (above about 1e154): where both of its axes are reached, its two-sided
+    root overflows to +inf, which never improves.
+    """
+    v = _potential(graph, potential)
+    src = graph._id(source)
+    # The sentinel reads the last voxel's potential: its update is NaN
+    # whatever its potential, so it never improves. No output grid is held
+    # during the march, where the memory peaks.
+    u = np.full(graph.size + 1, _INF)
+    u[src] = 0.0
+    _rounds(graph.neighbors, v, u, np.array([src]))
     return u[:-1]
+
+
+def double_sweep(graph: VoxelGraph, potential, source: int, forecast: int):
+    """Both waves of a double sweep over ``graph``, marched in the same rounds.
+
+    Returns ``(u1, u2)``, bit for bit ``u1 = march(graph, ones, source)``
+    and ``u2 = march(graph, potential, end)``, where ``end`` is the voxel
+    of the largest finite value of ``u1`` (lowest id on ties), as
+    ``argmax_field`` takes it on the grid. ``forecast`` is a guess of
+    ``end``: the second wave starts there at once, in the rounds of the
+    first.
+
+    The rounds are ``march``'s, on a graph of two copies of ``graph``: ids
+    0..n-1 for the second wave and n+1..2n for the first, each copy
+    followed by its own sentinel, so no edge joins the copies. No update
+    reads the other copy, so each wave takes the values that it would take
+    alone. The first wave's ids lie past the potential's n values and the
+    1 appended to them, which is what a clipped read gives them, so its
+    unit potential takes no array of its own. In the first round in
+    which the first wave improves nothing, its values are final; if
+    ``end`` is then not ``forecast``, the second copy is reset and starts
+    again from ``end``, in the same loop, which is exact for the same
+    reason. The first wave improves a voxel in every round until it
+    reaches the forecast (the wave reaches breadth-first layer L in round
+    L), so the check waits for that; for the far end of the layers from
+    ``source`` it waits for the deepest layer.
+    """
+    v = _potential(graph, potential)
+    src, guess = graph._id(source), graph._id(forecast)
+    n = graph.size
+    # Filled in place, so that no temporary of the table is held.
+    nbr = np.empty((4, 2 * n + 2), dtype=np.intp)
+    nbr[:, : n + 1] = graph.neighbors
+    np.add(graph.neighbors, n + 1, out=nbr[:, n + 1 :])
+    pot = np.append(v, 1.0)
+    u = np.full(2 * n + 2, _INF)
+    u[guess] = u[n + 1 + src] = 0.0
+    first = u[n + 1 : -1]
+    settled = False
+
+    def restart(changed):
+        nonlocal settled
+        if settled or (changed.size and (first[guess] == _INF or (changed > n).any())):
+            return changed
+        settled = True
+        end = int(np.argmax(first))
+        if first[end] == _INF:  # the first wave did not cover the graph
+            end = int(np.argmax(np.where(first < _INF, first, -1.0)))
+        if end == guess:
+            return changed
+        u[:n] = _INF
+        u[end] = 0.0
+        return np.array([end])
+
+    _rounds(nbr, pot, u, np.array([guess, n + 1 + src]), restart)
+    return first, u[:n]
 
 
 def fast_march(potential, domain, source) -> ArrivalField:

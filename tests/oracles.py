@@ -2,7 +2,8 @@
 
 These deliberately share no code with shapesplit: the distance oracle is a
 direct minimum over all background voxels, the component oracle is a plain
-BFS flood fill, the Euler number counts flood-filled components and holes,
+BFS flood fill (from one voxel, counting its steps, for breadth-first
+layers), the Euler number counts flood-filled components and holes,
 the bit-quad sum and label adjacency are plain loops over the grid, and the
 arrival-time oracle is a Gauss-Seidel sweeping iteration run to its fixed
 point.
@@ -68,6 +69,23 @@ def flood_fill_components(mask, connectivity: int = 4) -> tuple[np.ndarray, int]
                         labels[py][px] = count
                         queue.append((px, py))
     return np.array(labels, dtype=np.int32).reshape(h, w), count
+
+
+def flood_fill_steps(mask, source) -> np.ndarray:
+    """BFS flood fill from voxel ``source`` = ``(x, y)``: each voxel's fewest 4-steps from it, -1 where unreached."""
+    inside = np.asarray(mask, dtype=bool).tolist()
+    h, w = len(inside), len(inside[0])
+    steps = [[-1] * w for _ in range(h)]
+    x, y = source
+    steps[y][x] = 0
+    queue = deque([(x, y)])
+    while queue:
+        cx, cy = queue.popleft()
+        for px, py in ((cx, cy - 1), (cx, cy + 1), (cx - 1, cy), (cx + 1, cy)):
+            if 0 <= px < w and 0 <= py < h and inside[py][px] and steps[py][px] < 0:
+                steps[py][px] = steps[cy][cx] + 1
+                queue.append((px, py))
+    return np.array(steps, dtype=np.intp).reshape(h, w)
 
 
 def euler_number(region) -> int:

@@ -14,6 +14,7 @@ from shapesplit import (
     VoxelGraph,
     argmax_field,
     descend,
+    double_sweep,
     euclidean_distance_map,
     fast_march,
     march,
@@ -22,8 +23,8 @@ from shapesplit import (
 
 from shapesplit.eikonal import NEIGHBOR_STEPS_8
 
-from conftest import make_blob
-from oracles import sweep_arrival
+from conftest import make_blob, make_c_annulus
+from oracles import flood_fill_components, flood_fill_steps, sweep_arrival
 
 
 # sha256 of ``fast_march(...).values.tobytes()`` on odd domains, recorded
@@ -289,6 +290,155 @@ class TestVoxelGraph:
     def test_march_rejects_a_source_that_is_not_an_id(self, source):
         with pytest.raises(ValidationError):
             march(VoxelGraph(np.ones((2, 3), dtype=bool)), np.ones(6), source)
+
+
+def two_marches(graph, potential, source):
+    """A unit march from ``source``, and a march of ``potential`` from its largest finite arrival."""
+    u1 = march(graph, np.ones(graph.size), source)
+    end = int(np.argmax(np.where(np.isfinite(u1), u1, -1.0)))
+    return u1, march(graph, potential, end), end
+
+
+def pipeline_inputs(mask):
+    """The region's graph, the second wave's potential at the default exponent, and the deepest voxel."""
+    graph = VoxelGraph(mask)
+    depth = euclidean_distance_map(mask)[mask]
+    return graph, (depth.max() / depth) ** 6, int(np.argmax(depth))
+
+
+# The pipeline's forecast, the far end of the layers from the deepest voxel,
+# is the unit wave's far end on the first region and not on the others, so
+# the second wave starts once or restarts.
+BRANCHES = {
+    "annulus-5deg-hit": (lambda: make_c_annulus(notch_deg=5.0), True),
+    "annulus-20deg-miss": (make_c_annulus, False),
+    "blob2-miss": (lambda: make_blob(2), False),
+    "blob3-miss": (lambda: make_blob(3), False),
+}
+
+
+class TestDoubleSweep:
+    @settings(max_examples=200, deadline=None)
+    @given(
+        st.integers(0, 2**32 - 1),
+        st.tuples(st.integers(1, 14), st.integers(1, 14)),
+        st.floats(0.4, 0.95),
+        st.integers(0, 10**6),
+    )
+    def test_is_two_marches_whatever_the_forecast(self, seed, shape, density, forecast):
+        # the largest 4-piece of a random mask, random potentials and source,
+        # and any forecast
+        rng = np.random.default_rng(seed)
+        labels, count = flood_fill_components(rng.random(shape) < density)
+        assume(count)
+        mask = labels == 1 + int(np.argmax(np.bincount(labels.ravel())[1:]))
+        graph = VoxelGraph(mask)
+        potential = rng.uniform(0.2, 5.0, graph.size)
+        source = int(rng.integers(graph.size))
+        u1, u2 = double_sweep(graph, potential, source, forecast % graph.size)
+        want1, want2, _ = two_marches(graph, potential, source)
+        assert u1.tobytes() == want1.tobytes() and u2.tobytes() == want2.tobytes()
+
+    @pytest.mark.parametrize("name", BRANCHES)
+    def test_the_pipelines_forecast_starts_once_or_restarts(self, name):
+        make, hit = BRANCHES[name]
+        graph, potential, deepest = pipeline_inputs(make())
+        layers = graph.layers(deepest)
+        forecast = int(np.argmax(layers))
+        want1, want2, end = two_marches(graph, potential, deepest)
+        assert (end == forecast) is hit
+        u1, u2 = double_sweep(graph, potential, deepest, forecast)
+        assert u1.tobytes() == want1.tobytes() and u2.tobytes() == want2.tobytes()
+
+    def test_a_forecast_the_first_wave_reaches_long_before_it_settles(self, c_annulus_mask):
+        # beside the source: reached in round 1, wrong, and only known to be
+        # wrong once the first wave has settled
+        graph, potential, deepest = pipeline_inputs(c_annulus_mask)
+        forecast = int(graph.neighbors[0, deepest])
+        assert forecast < graph.size
+        u1, u2 = double_sweep(graph, potential, deepest, forecast)
+        want1, want2, _ = two_marches(graph, potential, deepest)
+        assert u1.tobytes() == want1.tobytes() and u2.tobytes() == want2.tobytes()
+
+    def test_a_region_the_first_wave_does_not_cover(self):
+        # the second wave starts at the first one's largest finite arrival
+        domain = np.zeros((6, 9), dtype=bool)
+        domain[1:5, 1:7] = True
+        domain[5, 8] = True
+        graph = VoxelGraph(domain)
+        potential = np.linspace(0.5, 2.0, graph.size)
+        u1, u2 = double_sweep(graph, potential, 0, graph.size - 1)
+        want1, want2, end = two_marches(graph, potential, 0)
+        assert np.isinf(u1[-1]) and end == 23
+        assert u1.tobytes() == want1.tobytes() and u2.tobytes() == want2.tobytes()
+
+    def test_peak_memory_on_filled_square(self):
+        # beyond the graph and the potential: the (4, 2n + 2) table (64
+        # bytes per voxel), a value and a stamp per copy (32), the
+        # potential's copy and its square (16); a temporary of the table
+        # would add 32 more, and the round itself adds about 3
+        graph = VoxelGraph(np.ones((256, 256), dtype=bool))
+        potential = np.full(graph.size, 2.0)
+        tracemalloc.start()
+        try:
+            double_sweep(graph, potential, 0, 1)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak <= 128 * graph.size
+
+    @pytest.mark.parametrize(
+        "potential",
+        [np.full(6, 0.0), np.full(6, -1.0), np.full(6, np.inf), np.full(6, np.nan), np.ones(5), "abc", [[1.0], [1.0, 2.0]]],
+    )
+    def test_rejects_the_potentials_that_march_rejects(self, potential):
+        graph = VoxelGraph(np.ones((2, 3), dtype=bool))
+        with pytest.raises(ValidationError) as want:
+            march(graph, potential, 0)
+        with pytest.raises(ValidationError) as info:
+            double_sweep(graph, potential, 0, 1)
+        assert str(info.value) == str(want.value)
+
+    def test_rejects_an_underflowing_potential_as_march_does(self, c_annulus_mask):
+        # (d_max / d) ** -2000 is 0 away from the deepest voxels
+        graph, _, deepest = pipeline_inputs(c_annulus_mask)
+        depth = euclidean_distance_map(c_annulus_mask)[c_annulus_mask]
+        potential = (depth.max() / depth) ** -2000.0
+        with pytest.raises(ValidationError) as want:
+            march(graph, potential, deepest)
+        with pytest.raises(ValidationError) as info:
+            double_sweep(graph, potential, deepest, 0)
+        assert str(info.value) == str(want.value) == "potential must be positive and finite on the domain"
+
+    @pytest.mark.parametrize("ids", [(-1, 0), (6, 0), (1.5, 0), (0, 6), (0, True), (0, None)])
+    def test_rejects_a_source_or_forecast_that_is_not_an_id(self, ids):
+        with pytest.raises(ValidationError, match="(is not a voxel id of a graph of 6 voxels|must be an integer)"):
+            double_sweep(VoxelGraph(np.ones((2, 3), dtype=bool)), np.ones(6), *ids)
+
+
+class TestLayers:
+    @pytest.mark.parametrize("seed", range(4))
+    def test_are_the_flood_fills_steps(self, seed):
+        rng = np.random.default_rng(seed)
+        domain = np.zeros((24, 30), dtype=bool)
+        domain[3:20, 4:27] = rng.random((17, 23)) < 0.65
+        domain[22, 1] = True  # a voxel no layer from the block reaches
+        graph = VoxelGraph(domain)
+        for source in rng.integers(graph.size, size=3):
+            want = flood_fill_steps(domain, graph.voxel(source))[domain]
+            got = graph.layers(source)
+            assert got.dtype == np.intp and got.tolist() == want.tolist()
+            assert got[source] == 0 and (got < 0).any()
+
+    def test_an_isolated_voxel_is_its_own_only_layer(self):
+        graph = VoxelGraph(np.array([[1, 0, 1], [1, 1, 0]]))
+        assert graph.layers(1).tolist() == [-1, 0, -1, -1]
+        assert graph.layers(3).tolist() == [2, -1, 1, 0]
+
+    @pytest.mark.parametrize("source", [-1, 4, 1.5, True, None])
+    def test_reject_a_source_that_is_not_an_id(self, source):
+        with pytest.raises(ValidationError):
+            VoxelGraph(np.array([[1, 0, 1], [1, 1, 0]])).layers(source)
 
 
 class TestArgmaxField:
